@@ -4,13 +4,20 @@
 
 GO ?= go
 
-.PHONY: build test quickstart simd smoke scenario-smoke sweep-smoke sweep-chaos race bench bench-update bench-go cover lint linkcheck fmt fmt-check vet ci
+.PHONY: build test fuzz quickstart simd smoke scenario-smoke sweep-smoke sweep-chaos race bench bench-update bench-go cover lint linkcheck fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# fuzz mirrors the CI fuzz step: fuzzed lane seeds (extreme words
+# included) on 1-8 gang lanes must match each lane's one-lane compiled
+# run. The checked-in corpus (internal/flow/testdata/fuzz/) also runs
+# as part of `make test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzGangLaneMatchesSingleLane$$' -fuzztime 20s ./internal/flow/
 
 # quickstart builds and runs the documented public-API entry point
 # (examples/quickstart on the root repro package), so the README's
@@ -60,8 +67,8 @@ sweep-chaos:
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/hades/... \
-		./internal/rtg/... ./internal/flow/... ./internal/simd/... \
-		./internal/sweep/...
+		./internal/cycle/... ./internal/rtg/... ./internal/flow/... \
+		./internal/simd/... ./internal/sweep/...
 
 # bench runs the pinned benchmark scenarios once per registered
 # simulator backend, writes BENCH_<name>.json files to
@@ -116,4 +123,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check lint test quickstart smoke scenario-smoke sweep-smoke sweep-chaos race cover bench
+ci: build vet fmt-check lint test fuzz quickstart smoke scenario-smoke sweep-smoke sweep-chaos race cover bench

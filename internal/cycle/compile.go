@@ -13,8 +13,10 @@
 //
 // A compiled Program is immutable and can be instantiated for N lanes:
 // gang simulation runs N independently seeded copies of the same
-// configuration in lockstep, struct-of-arrays, amortizing the per-node
-// bookkeeping over the whole population.
+// configuration in lockstep, struct-of-arrays. Evaluation is node-major:
+// each node resolves its kind, operand stripes and widths once and then
+// loops over the lanes, so the per-node bookkeeping amortizes over the
+// whole population and a clock edge allocates nothing.
 package cycle
 
 import (
@@ -22,6 +24,7 @@ import (
 	"sort"
 
 	"repro/internal/fsmsim"
+	"repro/internal/hades"
 	"repro/internal/operators"
 	"repro/internal/rtg"
 	"repro/internal/xmlspec"
@@ -48,8 +51,23 @@ func (e *Engine) CompileConfiguration(dp *xmlspec.Datapath, fsm *xmlspec.FSM, re
 // traces from both engines compare by name.
 type slotInfo struct {
 	name  string
-	width int
+	mask  uint64 // hades.Mask at the slot width
+	shift uint   // sext(v, shift) is hades.SignExtend(v, width)
 }
+
+// widthMask and widthShift precompute hades.Mask and hades.SignExtend
+// for one width, so the lane loops never branch on it.
+func widthMask(width int) uint64 { return hades.Mask(^uint64(0), width) }
+
+func widthShift(width int) uint {
+	if width >= 64 {
+		return 0
+	}
+	return uint(64 - width)
+}
+
+// sext sign-extends a value masked to 64-shift bits.
+func sext(v uint64, shift uint) int64 { return int64(v<<shift) >> shift }
 
 type combKind uint8
 
@@ -62,15 +80,17 @@ const (
 
 // combNode is one combinational operator in topological order.
 type combNode struct {
-	kind  combKind
-	width int // operator word width passed to the fn
-	y     int // output slot
-	a, b  int // unary/memread: a; binary: a and b
-	sel   int
-	ins   []int
-	un    operators.UnaryFn
-	bin   operators.BinaryFn
-	mem   int // combMemRead: memory index
+	kind     combKind
+	width    int // operator word width passed to the fn
+	y        int // output slot
+	mask     uint64
+	a, b     int  // unary/memread: a; binary: a and b
+	ash, bsh uint // sign-extension shifts of a and b
+	sel      int
+	ins      []int
+	un       operators.UnaryFn
+	bin      operators.BinaryFn
+	mem      int // combMemRead: memory index
 }
 
 // regNode is an edge-triggered register; en/rst are -1 when unconnected.
@@ -95,8 +115,8 @@ type ramNode struct {
 // the event elaboration reseeds components absent from a replay's init.
 type memSpec struct {
 	id    string
-	ref   string // RTG shared-memory ref, "" for locals and ROMs
-	width int
+	mask  uint64 // word width, as for slots
+	shift uint
 	depth int
 	init  []int64
 }
@@ -118,11 +138,12 @@ type fsmTrans struct {
 }
 
 // fsmState precomputes one state's Moore outputs over the declared
-// output order (unassigned outputs are 0, as fsmsim drives them).
+// output order (unassigned outputs are 0, as fsmsim drives them), each
+// masked to its control slot.
 type fsmState struct {
 	name  string
 	final bool
-	outs  []int64
+	outs  []uint64
 	trans []fsmTrans
 }
 
@@ -153,6 +174,11 @@ type Program struct {
 	ctlSlots   []int // per declared FSM output, in declaration order
 	statusSlot map[string]int
 	done       int // ctl slot of the "done" output, -1 when undeclared
+
+	// perCycle is every element's reaction count on one clock edge: each
+	// register, RAM, stimulus, sink and comb node plus the FSM reacts
+	// once per armed lane, so Run adds it in bulk.
+	perCycle uint64
 
 	memByRef map[string]int
 }
@@ -236,7 +262,7 @@ func Compile(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (*
 	}
 	slotOf := map[string]int{} // producer endpoint -> slot
 	addSlot := func(name string, width int) int {
-		p.slots = append(p.slots, slotInfo{name: name, width: width})
+		p.slots = append(p.slots, slotInfo{name: name, mask: widthMask(width), shift: widthShift(width)})
 		return len(p.slots) - 1
 	}
 
@@ -341,9 +367,10 @@ func Compile(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (*
 			if err != nil {
 				return nil, err
 			}
+			y := slotOf[op.ID+".y"]
 			p.comb = append(p.comb, combNode{
-				kind: combUnary, width: opWidth(param),
-				a: a, y: slotOf[op.ID+".y"], un: unaryFns[op.Type],
+				kind: combUnary, width: opWidth(param), y: y, mask: p.slots[y].mask,
+				a: a, ash: p.slots[a].shift, un: unaryFns[op.Type],
 			})
 
 		case binaryFns[op.Type] != nil:
@@ -355,9 +382,10 @@ func Compile(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (*
 			if err != nil {
 				return nil, err
 			}
+			y := slotOf[op.ID+".y"]
 			p.comb = append(p.comb, combNode{
-				kind: combBinary, width: opWidth(param),
-				a: a, b: b, y: slotOf[op.ID+".y"], bin: binaryFns[op.Type],
+				kind: combBinary, width: opWidth(param), y: y, mask: p.slots[y].mask,
+				a: a, b: b, ash: p.slots[a].shift, bsh: p.slots[b].shift, bin: binaryFns[op.Type],
 			})
 
 		case op.Type == "mux":
@@ -365,7 +393,8 @@ func Compile(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (*
 			if n < 2 {
 				n = 2
 			}
-			node := combNode{kind: combMux, y: slotOf[op.ID+".y"]}
+			y := slotOf[op.ID+".y"]
+			node := combNode{kind: combMux, y: y, mask: p.slots[y].mask}
 			for i := 0; i < n; i++ {
 				in, err := need(op, fmt.Sprintf("in%d", i))
 				if err != nil {
@@ -406,14 +435,13 @@ func Compile(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (*
 			if err != nil {
 				return nil, err
 			}
-			mem := len(p.mems)
-			p.mems = append(p.mems, memSpec{id: op.ID, ref: op.Ref, width: opWidth(param), depth: param.Depth, init: param.Init})
+			mem := p.addMem(op, param)
 			if op.Ref != "" {
 				p.memByRef[op.Ref] = mem
 			}
 			dout := slotOf[op.ID+".dout"]
 			p.rams = append(p.rams, ramNode{id: op.ID, mem: mem, addr: addr, din: din, we: we, dout: dout})
-			p.comb = append(p.comb, combNode{kind: combMemRead, a: addr, y: dout, mem: mem})
+			p.comb = append(p.comb, combNode{kind: combMemRead, a: addr, y: dout, mask: p.slots[dout].mask, mem: mem})
 
 		case op.Type == "rom":
 			if param.Depth <= 0 {
@@ -423,9 +451,8 @@ func Compile(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (*
 			if err != nil {
 				return nil, err
 			}
-			mem := len(p.mems)
-			p.mems = append(p.mems, memSpec{id: op.ID, width: opWidth(param), depth: param.Depth, init: param.Init})
-			p.comb = append(p.comb, combNode{kind: combMemRead, a: addr, y: slotOf[op.ID+".dout"], mem: mem})
+			dout := slotOf[op.ID+".dout"]
+			p.comb = append(p.comb, combNode{kind: combMemRead, a: addr, y: dout, mask: p.slots[dout].mask, mem: p.addMem(op, param)})
 
 		case op.Type == "stim":
 			p.stims = append(p.stims, stimNode{id: op.ID, out: slotOf[op.ID+".out"], last: slotOf[op.ID+".last"], init: param.Init})
@@ -463,11 +490,11 @@ func Compile(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (*
 		byName[st.Name] = i
 	}
 	for _, st := range fsm.States {
-		fs := fsmState{name: st.Name, final: st.Final, outs: make([]int64, len(fsm.Outputs))}
+		fs := fsmState{name: st.Name, final: st.Final, outs: make([]uint64, len(fsm.Outputs))}
 		for o, sig := range fsm.Outputs {
 			for _, a := range st.Assigns {
 				if a.Signal == sig.Name {
-					fs.outs[o] = a.Value
+					fs.outs[o] = uint64(a.Value) & p.slots[p.ctlSlots[o]].mask
 					break
 				}
 			}
@@ -487,11 +514,20 @@ func Compile(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (*
 	if d, ok := ctlSlot["done"]; ok {
 		p.done = d
 	}
+	p.perCycle = uint64(len(p.regs) + 1 + len(p.rams) + len(p.stims) + len(p.sinks) + len(p.comb))
 
 	if err := p.levelize(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// addMem appends a RAM/ROM's backing storage, returning its index.
+func (p *Program) addMem(op *xmlspec.Operator, param operators.Params) int {
+	w := opWidth(param)
+	p.mems = append(p.mems, memSpec{id: op.ID, mask: widthMask(w), shift: widthShift(w),
+		depth: param.Depth, init: param.Init})
+	return len(p.mems) - 1
 }
 
 // levelize topologically sorts the combinational nodes (Kahn's

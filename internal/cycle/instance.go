@@ -57,6 +57,8 @@ type Instance struct {
 	stimLast    []int64
 	stimLastSet []bool
 
+	env *laneEnv // the FSM guards' Env, pointed at one lane at a time
+
 	traceOn bool
 	traces  [][][]Sample // per lane, per cycle: one Sample per slot
 }
@@ -95,6 +97,7 @@ func (p *Program) NewInstance(lanes int) *Instance {
 	in.stimOutSet = make([]bool, len(p.stims)*lanes)
 	in.stimLast = make([]int64, len(p.stims)*lanes)
 	in.stimLastSet = make([]bool, len(p.stims)*lanes)
+	in.env = &laneEnv{in: in}
 	in.traces = make([][][]Sample, lanes)
 	return in
 }
@@ -111,37 +114,32 @@ func (in *Instance) EnableTrace() { in.traceOn = true }
 // the lane's next Reset.
 func (in *Instance) TraceRows(lane int) [][]Sample { return in.traces[lane] }
 
-// Slot value accessors. Reads mirror hades.Signal exactly: Int
-// sign-extends from the producing slot's width, Bool is bit 0 of the
-// raw value (an undefined slot reads 0, hence false), Uint is raw.
-
-func (in *Instance) validAt(slot, lane int) bool  { return in.valid[slot*in.lanes+lane] }
-func (in *Instance) uintAt(slot, lane int) uint64 { return in.vals[slot*in.lanes+lane] }
-func (in *Instance) boolAt(slot, lane int) bool   { return in.vals[slot*in.lanes+lane]&1 == 1 }
-func (in *Instance) intAt(slot, lane int) int64 {
-	return hades.SignExtend(in.vals[slot*in.lanes+lane], in.p.slots[slot].width)
-}
-
 // set publishes a value into a slot, masked to the slot width; a change
 // of value or definedness counts one event, like the kernel's batch
 // apply.
 func (in *Instance) set(slot, lane int, v int64) {
-	i := slot*in.lanes + lane
-	m := hades.Mask(uint64(v), in.p.slots[slot].width)
-	if !in.valid[i] || in.vals[i] != m {
-		in.vals[i], in.valid[i] = m, true
-		in.events[lane]++
+	put(in.vals, in.valid, in.events, slot*in.lanes+lane, lane, uint64(v)&in.p.slots[slot].mask)
+}
+
+// put stores the masked value m at plane index i, which belongs to lane
+// l, counting an event for the lane on a change of value or definedness.
+func put(vals []uint64, valid []bool, events []uint64, i, l int, m uint64) {
+	if !valid[i] || vals[i] != m {
+		vals[i], valid[i] = m, true
+		events[l]++
 	}
 }
 
-// laneEnv adapts one lane's status slots to the fsmsim guard Env.
+// laneEnv adapts one lane's status slots to the fsmsim guard Env. The
+// Instance holds a single one and phaseA points it at each lane in turn,
+// so handing it to Cond.Eval allocates nothing.
 type laneEnv struct {
 	in   *Instance
 	lane int
 }
 
 // Truth is true when the named status is defined and non-zero.
-func (e laneEnv) Truth(name string) bool {
+func (e *laneEnv) Truth(name string) bool {
 	s, ok := e.in.p.statusSlot[name]
 	if !ok {
 		return false
@@ -160,7 +158,8 @@ func (e laneEnv) Truth(name string) bool {
 func (in *Instance) Reset(lane int, init map[string][]int64) {
 	L := in.lanes
 	in.resets[lane]++
-	in.events[lane], in.reactions[lane], in.instants[lane] = 0, 0, 0
+	// The settle pass below is one reaction per comb node.
+	in.events[lane], in.reactions[lane], in.instants[lane] = 0, uint64(len(in.p.comb)), 0
 	for s := range in.p.slots {
 		i := s*L + lane
 		in.vals[i], in.valid[i] = 0, false
@@ -178,7 +177,7 @@ func (in *Instance) Reset(lane int, init map[string][]int64) {
 	in.state[lane] = in.p.initial
 	st := &in.p.states[in.p.initial]
 	for o, slot := range in.p.ctlSlots {
-		in.set(slot, lane, st.outs[o])
+		put(in.vals, in.valid, in.events, slot*L+lane, lane, st.outs[o])
 	}
 	for m := range in.p.mems {
 		ms := &in.p.mems[m]
@@ -189,7 +188,7 @@ func (in *Instance) Reset(lane int, init map[string][]int64) {
 		}
 		for i := range mem {
 			if i < len(words) {
-				mem[i] = hades.Mask(uint64(words[i]), ms.width)
+				mem[i] = uint64(words[i]) & ms.mask
 			} else {
 				mem[i] = 0
 			}
@@ -223,7 +222,7 @@ func (in *Instance) Reset(lane int, init map[string][]int64) {
 	if in.traceOn {
 		in.traces[lane] = in.traces[lane][:0]
 	}
-	in.settleLane(lane)
+	in.settle(lane, lane+1)
 }
 
 // Run executes every armed lane clock-by-clock. The horizon mirrors the
@@ -269,13 +268,14 @@ func (in *Instance) Run(period hades.Time, maxCycles uint64, interrupt func() bo
 			}
 		}
 		in.publish()
-		in.settleAll()
+		in.settle(0, in.lanes)
 		for l := 0; l < in.lanes; l++ {
 			if !in.armed[l] {
 				continue
 			}
 			in.cycles[l] = cyc
 			in.instants[l]++
+			in.reactions[l] += in.p.perCycle
 			if in.p.done >= 0 && !in.doneWas[l] && in.doneLevel(l) {
 				in.completed[l] = true
 				in.endTime[l] = hades.Time(2*(cyc-1))*half + half
@@ -323,74 +323,64 @@ func (in *Instance) snapshot() {
 // refresh, stimulus advance and sink capture. Nothing publishes here —
 // results park in the deferred scratch so every element of the same
 // edge observes the same pre-edge state, exactly like the event
-// kernel's delta-0 reactions.
+// kernel's delta-0 reactions. Like settle it runs element-major over
+// the armed lanes; reactions are counted in bulk by Run.
 func (in *Instance) phaseA() {
-	L := in.lanes
-	for r := range in.p.regs {
-		rg := &in.p.regs[r]
-		for l := 0; l < L; l++ {
-			if !in.armed[l] {
-				continue
-			}
-			in.reactions[l]++
-			i := r*L + l
-			if rg.rst >= 0 && in.boolAt(rg.rst, l) {
-				in.regNext[i], in.regSet[i] = rg.init, true
-				continue
-			}
-			if rg.en >= 0 && !in.boolAt(rg.en, l) {
-				continue
-			}
-			if in.validAt(rg.d, l) {
-				in.regNext[i], in.regSet[i] = in.intAt(rg.d, l), true
+	p, L, armed := in.p, in.lanes, in.armed
+	vals, valid := in.vals, in.valid
+	for r := range p.regs {
+		rg := &p.regs[r]
+		o, d, rst, en := r*L, rg.d*L, rg.rst*L, rg.en*L
+		dsh := p.slots[rg.d].shift
+		for l, on := range armed {
+			switch {
+			case !on:
+			case rg.rst >= 0 && vals[rst+l]&1 == 1:
+				in.regNext[o+l], in.regSet[o+l] = rg.init, true
+			case rg.en >= 0 && vals[en+l]&1 == 0:
+			case valid[d+l]:
+				in.regNext[o+l], in.regSet[o+l] = sext(vals[d+l], dsh), true
 			}
 		}
 	}
-	for l := 0; l < L; l++ {
-		if !in.armed[l] {
+	env := in.env
+	for l, on := range armed {
+		if !on {
 			continue
 		}
-		in.reactions[l]++
-		st := &in.p.states[in.state[l]]
-		env := laneEnv{in: in, lane: l}
-		for _, tr := range st.trans {
+		env.lane = l
+		for _, tr := range p.states[in.state[l]].trans {
 			if tr.cond.Eval(env) {
 				in.state[l] = tr.next
 				break
 			}
 		}
 	}
-	for m := range in.p.rams {
-		rn := &in.p.rams[m]
-		ms := &in.p.mems[rn.mem]
-		mem := in.mems[rn.mem]
-		for l := 0; l < L; l++ {
-			if !in.armed[l] {
+	for m := range p.rams {
+		rn := &p.rams[m]
+		ms := &p.mems[rn.mem]
+		mem, depth := in.mems[rn.mem], uint64(ms.depth)
+		o, addr, din, we := m*L, rn.addr*L, rn.din*L, rn.we*L
+		for l, on := range armed {
+			// The address compares unsigned, so a negative word is out of
+			// range too: no write, and the read port holds.
+			if !on || !valid[addr+l] || vals[addr+l] >= depth {
 				continue
 			}
-			in.reactions[l]++
-			if in.boolAt(rn.we, l) && in.validAt(rn.addr, l) && in.validAt(rn.din, l) {
-				if a := int(in.uintAt(rn.addr, l)); a < ms.depth {
-					mem[l*ms.depth+a] = hades.Mask(in.uintAt(rn.din, l), ms.width)
-				}
+			w := uint64(l)*depth + vals[addr+l]
+			if vals[we+l]&1 == 1 && valid[din+l] {
+				mem[w] = vals[din+l] & ms.mask
 			}
 			// Read-port refresh from the pre-edge address over the
 			// post-write contents (the event RAM does both in one React).
-			if in.validAt(rn.addr, l) {
-				if a := int(in.uintAt(rn.addr, l)); a < ms.depth {
-					i := m*L + l
-					in.ramNext[i] = hades.SignExtend(mem[l*ms.depth+a], ms.width)
-					in.ramSet[i] = true
-				}
-			}
+			in.ramNext[o+l], in.ramSet[o+l] = sext(mem[w], ms.shift), true
 		}
 	}
-	for s := range in.p.stims {
-		for l := 0; l < L; l++ {
-			if !in.armed[l] {
+	for s := range p.stims {
+		for l, on := range armed {
+			if !on {
 				continue
 			}
-			in.reactions[l]++
 			i := s*L + l
 			vec := in.stimVec[i]
 			if len(vec) == 0 {
@@ -414,127 +404,105 @@ func (in *Instance) phaseA() {
 			}
 		}
 	}
-	for s := range in.p.sinks {
-		sn := &in.p.sinks[s]
-		for l := 0; l < L; l++ {
-			if !in.armed[l] {
+	for s := range p.sinks {
+		sn := &p.sinks[s]
+		v, en, sh := sn.in*L, sn.en*L, p.slots[sn.in].shift
+		for l, on := range armed {
+			if !on || (sn.en >= 0 && vals[en+l]&1 == 0) || !valid[v+l] {
 				continue
 			}
-			in.reactions[l]++
-			if sn.en >= 0 && !in.boolAt(sn.en, l) {
-				continue
-			}
-			if in.validAt(sn.in, l) {
-				i := s*L + l
-				in.sinkRec[i] = append(in.sinkRec[i], in.intAt(sn.in, l))
-			}
-		}
-	}
-}
-
-// publish applies the deferred phase-A results to the slots.
-func (in *Instance) publish() {
-	L := in.lanes
-	for r := range in.p.regs {
-		rg := &in.p.regs[r]
-		for l := 0; l < L; l++ {
-			i := r*L + l
-			if in.regSet[i] {
-				in.set(rg.q, l, in.regNext[i])
-				in.regSet[i] = false
-			}
-		}
-	}
-	for l := 0; l < L; l++ {
-		if !in.armed[l] {
-			continue
-		}
-		st := &in.p.states[in.state[l]]
-		for o, slot := range in.p.ctlSlots {
-			in.set(slot, l, st.outs[o])
-		}
-	}
-	for m := range in.p.rams {
-		rn := &in.p.rams[m]
-		for l := 0; l < L; l++ {
-			i := m*L + l
-			if in.ramSet[i] {
-				in.set(rn.dout, l, in.ramNext[i])
-				in.ramSet[i] = false
-			}
-		}
-	}
-	for s := range in.p.stims {
-		sn := &in.p.stims[s]
-		for l := 0; l < L; l++ {
 			i := s*L + l
-			if in.stimOutSet[i] {
-				in.set(sn.out, l, in.stimOut[i])
-				in.stimOutSet[i] = false
-			}
-			if in.stimLastSet[i] {
-				in.set(sn.last, l, in.stimLast[i])
-				in.stimLastSet[i] = false
-			}
+			in.sinkRec[i] = append(in.sinkRec[i], sext(vals[v+l], sh))
 		}
 	}
 }
 
-// evalNode evaluates one combinational node for one lane, with the
-// event operators' hold-on-undefined semantics: a node whose inputs are
-// not all defined (or whose select/address is out of range) keeps its
-// previous output.
-func (in *Instance) evalNode(n *combNode, l int) {
-	in.reactions[l]++
-	switch n.kind {
-	case combUnary:
-		if in.validAt(n.a, l) {
-			in.set(n.y, l, n.un(in.intAt(n.a, l), n.width))
-		}
-	case combBinary:
-		if in.validAt(n.a, l) && in.validAt(n.b, l) {
-			in.set(n.y, l, n.bin(in.intAt(n.a, l), in.intAt(n.b, l), n.width))
-		}
-	case combMux:
-		if !in.validAt(n.sel, l) {
-			return
-		}
-		idx := int(in.uintAt(n.sel, l))
-		if idx < 0 || idx >= len(n.ins) {
-			return
-		}
-		src := n.ins[idx]
-		if in.validAt(src, l) {
-			in.set(n.y, l, in.intAt(src, l))
-		}
-	case combMemRead:
-		if !in.validAt(n.a, l) {
-			return
-		}
-		ms := &in.p.mems[n.mem]
-		if a := int(in.uintAt(n.a, l)); a < ms.depth {
-			in.set(n.y, l, hades.SignExtend(in.mems[n.mem][l*ms.depth+a], ms.width))
-		}
-	}
-}
-
-// settleAll runs the levelized combinational pass for every armed lane.
-// One pass in topological order reaches the delta-cascade fixpoint.
-func (in *Instance) settleAll() {
-	for i := range in.p.comb {
-		n := &in.p.comb[i]
-		for l := 0; l < in.lanes; l++ {
-			if in.armed[l] {
-				in.evalNode(n, l)
+// publish applies the deferred phase-A results to the slots, element by
+// element over the lanes.
+func (in *Instance) publish() {
+	p, L := in.p, in.lanes
+	vals, valid, events := in.vals, in.valid, in.events
+	apply := func(slot int, next []int64, set []bool) {
+		y, mask := slot*L, p.slots[slot].mask
+		for l, on := range set {
+			if on {
+				put(vals, valid, events, y+l, l, uint64(next[l])&mask)
+				set[l] = false
 			}
 		}
 	}
+	for r := range p.regs {
+		apply(p.regs[r].q, in.regNext[r*L:(r+1)*L], in.regSet[r*L:(r+1)*L])
+	}
+	for o, slot := range p.ctlSlots {
+		y := slot * L
+		for l, on := range in.armed {
+			if on {
+				put(vals, valid, events, y+l, l, p.states[in.state[l]].outs[o])
+			}
+		}
+	}
+	for m := range p.rams {
+		apply(p.rams[m].dout, in.ramNext[m*L:(m+1)*L], in.ramSet[m*L:(m+1)*L])
+	}
+	for s := range p.stims {
+		apply(p.stims[s].out, in.stimOut[s*L:(s+1)*L], in.stimOutSet[s*L:(s+1)*L])
+		apply(p.stims[s].last, in.stimLast[s*L:(s+1)*L], in.stimLastSet[s*L:(s+1)*L])
+	}
 }
 
-// settleLane is settleAll for a single lane (the Reset settle pass).
-func (in *Instance) settleLane(l int) {
-	for i := range in.p.comb {
-		in.evalNode(&in.p.comb[i], l)
+// settle runs the levelized combinational pass over the armed lanes of
+// [lo, hi), node-major: each node resolves its kind, operand offsets and
+// widths once, then loops over the lanes. One pass in topological order
+// reaches the delta-cascade fixpoint. A node whose inputs are not all
+// defined — or whose select or address is out of range — holds its
+// previous output, the event operators' semantics. Reactions are counted
+// in bulk by the callers.
+func (in *Instance) settle(lo, hi int) {
+	p, L, armed := in.p, in.lanes, in.armed
+	vals, valid, events := in.vals, in.valid, in.events
+	for i := range p.comb {
+		n := &p.comb[i]
+		y := n.y * L
+		switch n.kind {
+		case combUnary:
+			a := n.a * L
+			for l := lo; l < hi; l++ {
+				if armed[l] && valid[a+l] {
+					put(vals, valid, events, y+l, l, uint64(n.un(sext(vals[a+l], n.ash), n.width))&n.mask)
+				}
+			}
+		case combBinary:
+			a, b := n.a*L, n.b*L
+			for l := lo; l < hi; l++ {
+				if armed[l] && valid[a+l] && valid[b+l] {
+					r := n.bin(sext(vals[a+l], n.ash), sext(vals[b+l], n.bsh), n.width)
+					put(vals, valid, events, y+l, l, uint64(r)&n.mask)
+				}
+			}
+		case combMux:
+			sel := n.sel * L
+			for l := lo; l < hi; l++ {
+				if !armed[l] || !valid[sel+l] || vals[sel+l] >= uint64(len(n.ins)) {
+					continue
+				}
+				src := n.ins[vals[sel+l]]
+				if j := src*L + l; valid[j] {
+					put(vals, valid, events, y+l, l, uint64(sext(vals[j], p.slots[src].shift))&n.mask)
+				}
+			}
+		case combMemRead:
+			ms := &p.mems[n.mem]
+			mem, depth := in.mems[n.mem], uint64(ms.depth)
+			a := n.a * L
+			for l := lo; l < hi; l++ {
+				// Unsigned compare: a negative address word is out of range.
+				if armed[l] && valid[a+l] && vals[a+l] < depth {
+					v := mem[uint64(l)*depth+vals[a+l]]
+					put(vals, valid, events, y+l, l, uint64(sext(v, ms.shift))&n.mask)
+				}
+			}
+		}
 	}
 }
 
@@ -589,7 +557,7 @@ func (in *Instance) CopyShared(lane int, ref string, dst []int64) bool {
 		n = len(dst)
 	}
 	for i := 0; i < n; i++ {
-		dst[i] = hades.SignExtend(mem[i], ms.width)
+		dst[i] = sext(mem[i], ms.shift)
 	}
 	return true
 }

@@ -423,6 +423,46 @@ func TestROMRead(t *testing.T) {
 	}
 }
 
+// TestMemoryOutOfRangeAddressHolds: on a 64-bit address signal, the word
+// -1 is an address far past the depth, not an index — the RAM drops the
+// write and neither read port drives its output.
+func TestMemoryOutOfRangeAddressHolds(t *testing.T) {
+	reg := DefaultRegistry()
+	sim := hades.NewSimulator()
+	clk := sim.NewSignal("clk", 1)
+	addr := sim.NewSignal("addr", 64)
+	din := sim.NewSignal("din", 32)
+	we := sim.NewSignal("we", 1)
+	ramOut := sim.NewSignal("ram.dout", 32)
+	romOut := sim.NewSignal("rom.dout", 32)
+	ramSpec, _ := reg.Lookup("ram")
+	c, err := ramSpec.Build(sim, "m", Params{Width: 32, Depth: 4, Init: []int64{10, 20, 30, 40}},
+		map[string]*hades.Signal{"clk": clk, "addr": addr, "din": din, "we": we, "dout": ramOut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ram := c.(*RAM)
+	romSpec, _ := reg.Lookup("rom")
+	if _, err := romSpec.Build(sim, "r", Params{Width: 32, Depth: 4, Init: []int64{5, 6, 7, 8}},
+		map[string]*hades.Signal{"addr": addr, "dout": romOut}); err != nil {
+		t.Fatal(err)
+	}
+	sim.Drive(we, 1)
+	sim.Set(addr, -1, 1)
+	sim.Set(din, 77, 1)
+	sim.Set(clk, 1, 2)
+	sim.Set(clk, 0, 7)
+	if _, err := sim.Run(20); err != nil {
+		t.Fatal(err)
+	}
+	if got := ram.Contents(); fmt.Sprint(got) != "[10 20 30 40]" {
+		t.Fatalf("write at address -1 landed: %v", got)
+	}
+	if ramOut.Valid() || romOut.Valid() {
+		t.Fatalf("read ports drove on address -1: ram %v, rom %v", ramOut, romOut)
+	}
+}
+
 func TestStimulusAndSinkRoundTrip(t *testing.T) {
 	reg := DefaultRegistry()
 	sim := hades.NewSimulator()

@@ -120,11 +120,12 @@ func (m *RAM) LoadContents(words []int64) {
 func (m *RAM) Accesses() (reads, writes uint64) { return m.reads, m.writes }
 
 // React performs the synchronous write on rising clock edges and keeps the
-// asynchronous read output coherent with the address input.
+// asynchronous read output coherent with the address input. An address
+// at or past the depth — compared unsigned, so a negative word counts —
+// drops the write and holds the read output.
 func (m *RAM) React(sim *hades.Simulator) {
 	if hades.RisingEdge(m.clk, &m.prevClk) && m.we.Bool() && m.addr.Valid() && m.din.Valid() {
-		a := int(m.addr.Uint())
-		if a < len(m.mem) {
+		if a := m.addr.Uint(); a < uint64(len(m.mem)) {
 			m.mem[a] = hades.Mask(m.din.Uint(), m.width)
 			m.writes++
 		}
@@ -136,8 +137,8 @@ func (m *RAM) updateRead(sim *hades.Simulator) {
 	if !m.addr.Valid() {
 		return
 	}
-	a := int(m.addr.Uint())
-	if a >= len(m.mem) {
+	a := m.addr.Uint()
+	if a >= uint64(len(m.mem)) {
 		return
 	}
 	m.reads++
@@ -169,13 +170,14 @@ func (m *ROM) Peek(addr int) int64 {
 	return hades.SignExtend(m.mem[addr], m.width)
 }
 
-// React keeps the read port coherent with the address.
+// React keeps the read port coherent with the address; an out-of-range
+// address (compared unsigned, as for the RAM) holds the output.
 func (m *ROM) React(sim *hades.Simulator) {
 	if !m.addr.Valid() {
 		return
 	}
-	a := int(m.addr.Uint())
-	if a >= len(m.mem) {
+	a := m.addr.Uint()
+	if a >= uint64(len(m.mem)) {
 		return
 	}
 	sim.Set(m.dout, hades.SignExtend(m.mem[a], m.width), 0)

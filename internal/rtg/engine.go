@@ -84,8 +84,9 @@ type ConfigInstance interface {
 	// Reset rewinds one lane to the program's initial state, reseeding
 	// memories and stimuli from init (keyed by operator id; missing ids
 	// zero-fill / reload nothing, mirroring netlist.Elaboration.Reset).
-	// Implementations must copy init contents: callers reuse the
-	// backing slices. Reset arms the lane for the next Run.
+	// Implementations must copy init contents and keep no reference to
+	// init: callers reuse the map and its backing slices. Reset arms the
+	// lane for the next Run.
 	Reset(lane int, init map[string][]int64)
 	// Run executes every armed lane clock-by-clock until its FSM
 	// asserts done (or maxCycles), disarming lanes as they finish.

@@ -161,12 +161,25 @@ type Controller struct {
 	// program per configuration id and one instance per (configuration,
 	// lane count). nil when Options.DisableReplay is set.
 	progs map[string]ConfigProgram
-	insts map[string]ConfigInstance
+	insts map[instKey]ConfigInstance
 	// seedBuf reuses per-operator seed-copy buffers across runs so the
 	// replay path's mandatory copies (see runConfiguration) do not
 	// allocate in the steady state.
-	seedBuf map[string][]int64
+	seedBuf map[seedKey][]int64
+	// laneInit is the InitData map the cycle paths refill for every lane
+	// reset: a ConfigInstance copies what Reset reads and keeps no
+	// reference, so one map serves every visit.
+	laneInit map[string][]int64
 }
+
+// instKey and seedKey are comparable cache keys: a lookup builds no
+// string, so the replay and gang paths key a visit without allocating.
+type instKey struct {
+	cfg   string
+	lanes int
+}
+
+type seedKey struct{ cfg, op string }
 
 // NewController validates the design and prepares the shared store
 // (zero-filled; use LoadMemory to seed contents from files).
@@ -178,11 +191,12 @@ func NewController(design *xmlspec.Design, opts Options) (*Controller, error) {
 	if err := xmlspec.ValidateDesign(design, o.Registry); err != nil {
 		return nil, err
 	}
-	c := &Controller{design: design, opts: o, store: map[string][]int64{}, seedBuf: map[string][]int64{}}
+	c := &Controller{design: design, opts: o, store: map[string][]int64{},
+		seedBuf: map[seedKey][]int64{}, laneInit: map[string][]int64{}}
 	if !o.DisableReplay {
 		c.cache = map[string]*netlist.Elaboration{}
 		c.progs = map[string]ConfigProgram{}
-		c.insts = map[string]ConfigInstance{}
+		c.insts = map[instKey]ConfigInstance{}
 	}
 	for _, m := range design.RTG.Memories {
 		c.store[m.ID] = make([]int64, m.Depth)
@@ -316,7 +330,7 @@ func (c *Controller) walkLocked(ctx context.Context) (*ExecResult, error) {
 // LocalInit — or the store's own write-back — rewrite a live or cached
 // configuration's inputs mid-flight.
 func (c *Controller) seedCopy(cfgID, opID string, words []int64) []int64 {
-	key := cfgID + "\x00" + opID
+	key := seedKey{cfgID, opID}
 	buf := c.seedBuf[key]
 	if cap(buf) < len(words) {
 		buf = make([]int64, len(words))
@@ -327,12 +341,12 @@ func (c *Controller) seedCopy(cfgID, opID string, words []int64) []int64 {
 	return buf
 }
 
-// configInit builds one configuration's InitData against the given
-// shared store: locals from LocalInit, shared refs from the store —
-// every seed copied (see seedCopy).
-func (c *Controller) configInit(cfg *xmlspec.Configuration, store map[string][]int64) (map[string][]int64, error) {
+// configInit fills init (cleared first) with one configuration's
+// InitData against the given shared store: locals from LocalInit, shared
+// refs from the store — every seed copied (see seedCopy).
+func (c *Controller) configInit(cfg *xmlspec.Configuration, store, init map[string][]int64) error {
 	dp := c.design.Datapaths[cfg.Datapath]
-	init := map[string][]int64{}
+	clear(init)
 	for id, words := range c.opts.LocalInit[cfg.ID] {
 		init[id] = c.seedCopy(cfg.ID, id, words)
 	}
@@ -341,12 +355,12 @@ func (c *Controller) configInit(cfg *xmlspec.Configuration, store map[string][]i
 		if op.Ref != "" {
 			words, ok := store[op.Ref]
 			if !ok {
-				return nil, fmt.Errorf("rtg: configuration %q: unknown shared memory %q", cfg.ID, op.Ref)
+				return fmt.Errorf("rtg: configuration %q: unknown shared memory %q", cfg.ID, op.Ref)
 			}
 			init[op.ID] = c.seedCopy(cfg.ID, op.ID, words)
 		}
 	}
-	return init, nil
+	return nil
 }
 
 func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Context) (*ConfigRun, error) {
@@ -356,8 +370,8 @@ func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Co
 	dp := c.design.Datapaths[cfg.Datapath]
 	fsm := c.design.FSMs[cfg.FSM]
 
-	init, err := c.configInit(cfg, c.store)
-	if err != nil {
+	init := map[string][]int64{}
+	if err := c.configInit(cfg, c.store, init); err != nil {
 		return nil, err
 	}
 
@@ -429,7 +443,7 @@ func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Co
 // cycleInstance resolves (and on the replay path caches) the compiled
 // program and lane-count instance for one configuration.
 func (c *Controller) cycleInstance(ce CycleEngine, cfg *xmlspec.Configuration, lanes int) (ConfigInstance, error) {
-	key := fmt.Sprintf("%s\x00%d", cfg.ID, lanes)
+	key := instKey{cfg.ID, lanes}
 	if c.insts != nil {
 		if inst, ok := c.insts[key]; ok {
 			return inst, nil
@@ -461,11 +475,10 @@ func (c *Controller) runConfigurationCycle(ce CycleEngine, cfg *xmlspec.Configur
 	if err != nil {
 		return nil, fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
 	}
-	init, err := c.configInit(cfg, c.store)
-	if err != nil {
+	if err := c.configInit(cfg, c.store, c.laneInit); err != nil {
 		return nil, err
 	}
-	inst.Reset(0, init)
+	inst.Reset(0, c.laneInit)
 	var interrupt func() bool
 	if ctx != nil {
 		interrupt = func() bool { return ctx.Err() != nil }
@@ -632,11 +645,10 @@ func (c *Controller) gangLockstep(ce CycleEngine, ctx context.Context, stores []
 			if !active[l] {
 				continue
 			}
-			init, err := c.configInit(cfg, stores[l])
-			if err != nil {
+			if err := c.configInit(cfg, stores[l], c.laneInit); err != nil {
 				return out, err
 			}
-			inst.Reset(l, init)
+			inst.Reset(l, c.laneInit)
 			running++
 		}
 		if running == 0 {
