@@ -12,12 +12,14 @@ build:
 test:
 	$(GO) test ./...
 
-# fuzz mirrors the CI fuzz step: fuzzed lane seeds (extreme words
+# fuzz mirrors the CI fuzz steps: fuzzed lane seeds (extreme words
 # included) on 1-8 gang lanes must match each lane's one-lane compiled
-# run. The checked-in corpus (internal/flow/testdata/fuzz/) also runs
-# as part of `make test`.
+# run, and fuzzed listener graphs on the event kernel must match the
+# seed reference kernel. The checked-in corpora (internal/flow/ and
+# internal/hades/testdata/fuzz/) also run as part of `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGangLaneMatchesSingleLane$$' -fuzztime 20s ./internal/flow/
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelMatchesSeedReference$$' -fuzztime 20s ./internal/hades/
 
 # quickstart builds and runs the documented public-API entry point
 # (examples/quickstart on the root repro package), so the README's

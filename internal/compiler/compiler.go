@@ -8,6 +8,7 @@ package compiler
 import (
 	"fmt"
 
+	"repro/internal/hades"
 	"repro/internal/lang"
 	"repro/internal/operators"
 	"repro/internal/xmlspec"
@@ -51,6 +52,9 @@ func Compile(prog *lang.Program, funcName string, cfg Config) (*Result, error) {
 	width := cfg.Width
 	if width <= 0 {
 		width = 32
+	}
+	if width > hades.MaxWidth {
+		return nil, fmt.Errorf("compiler: width %d exceeds the kernel's %d-bit limit", width, hades.MaxWidth)
 	}
 	scalarArgs := map[string]int64{}
 	var arrays []*lang.Param

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hades"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/rtg"
@@ -433,4 +434,23 @@ func TestGeneratedXMLRoundTrips(t *testing.T) {
 // import (flow imports the compiler).
 func rtgTestOptions() rtg.Options {
 	return rtg.Options{ClockPeriod: 10, MaxCycles: 10_000_000, MaxConfigs: 1024}
+}
+
+// TestCompileRejectsWidthBeyondKernel pins that a datapath width the
+// event kernel cannot carry fails compilation with an error instead of
+// panicking when the design is elaborated.
+func TestCompileRejectsWidthBeyondKernel(t *testing.T) {
+	prog, err := lang.Parse(`void f(int[] a, int n) { a[0] = n; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{ArraySizes: map[string]int{"a": 4}, ScalarArgs: map[string]int64{"n": 1}}
+	cfg.Width = hades.MaxWidth + 1
+	if _, err := Compile(prog, "f", cfg); err == nil || !strings.Contains(err.Error(), "width 65") {
+		t.Fatalf("width 65: err=%v", err)
+	}
+	cfg.Width = hades.MaxWidth
+	if _, err := Compile(prog, "f", cfg); err != nil {
+		t.Fatalf("width 64: %v", err)
+	}
 }

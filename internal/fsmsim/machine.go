@@ -24,7 +24,7 @@ type Machine struct {
 	initial int
 
 	inputs  map[string]*hades.Signal
-	outputs []outputBinding
+	outputs []*hades.Signal // bound outputs, in spec order
 
 	prevClk bool
 	cycles  uint64
@@ -35,18 +35,13 @@ type Machine struct {
 type compiledState struct {
 	name        string
 	final       bool
-	assigns     []xmlspec.Assign
+	outputs     []int64 // Moore output vector, parallel to Machine.outputs
 	transitions []compiledTransition
 }
 
 type compiledTransition struct {
 	cond Cond
 	next int
-}
-
-type outputBinding struct {
-	name string
-	sig  *hades.Signal
 }
 
 // signalEnv adapts live status signals to the Cond Env interface.
@@ -91,7 +86,7 @@ func New(sim *hades.Simulator, spec *xmlspec.FSM, clk, rst *hades.Signal,
 		m.byName[st.Name] = i
 	}
 	for _, st := range spec.States {
-		cs := compiledState{name: st.Name, final: st.Final, assigns: st.Assigns}
+		cs := compiledState{name: st.Name, final: st.Final}
 		for _, tr := range st.Transitions {
 			c, err := ParseCond(tr.Cond, known)
 			if err != nil {
@@ -109,7 +104,22 @@ func New(sim *hades.Simulator, spec *xmlspec.FSM, clk, rst *hades.Signal,
 		if sig == nil {
 			return nil, fmt.Errorf("fsmsim: %s: output %q not bound", spec.Name, out.Name)
 		}
-		m.outputs = append(m.outputs, outputBinding{name: out.Name, sig: sig})
+		m.outputs = append(m.outputs, sig)
+	}
+	// Each state's output vector holds the value of its first assign to
+	// each output, 0 where it assigns none; all states share one array.
+	vecs := make([]int64, len(m.states)*len(m.outputs))
+	for i, st := range spec.States {
+		vec := vecs[i*len(m.outputs) : (i+1)*len(m.outputs)]
+		for k, out := range spec.Outputs {
+			for _, a := range st.Assigns {
+				if a.Signal == out.Name {
+					vec[k] = a.Value
+					break
+				}
+			}
+		}
+		m.states[i].outputs = vec
 	}
 	m.current = m.initial
 	clk.Listen(m)
@@ -177,22 +187,14 @@ func (m *Machine) React(sim *hades.Simulator) {
 	m.driveOutputs(sim, false)
 }
 
-// driveOutputs asserts the current state's Moore outputs; all declared
-// outputs not assigned in the state are driven to 0.
+// driveOutputs asserts the current state's Moore output vector; all
+// declared outputs not assigned in the state are driven to 0.
 func (m *Machine) driveOutputs(sim *hades.Simulator, immediate bool) {
-	st := &m.states[m.current]
-	for _, ob := range m.outputs {
-		val := int64(0)
-		for _, a := range st.assigns {
-			if a.Signal == ob.name {
-				val = a.Value
-				break
-			}
-		}
+	for k, val := range m.states[m.current].outputs {
 		if immediate {
-			sim.Drive(ob.sig, val)
+			sim.Drive(m.outputs[k], val)
 		} else {
-			sim.Set(ob.sig, val, 0)
+			sim.Set(m.outputs[k], val, 0)
 		}
 	}
 }

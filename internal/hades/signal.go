@@ -15,7 +15,8 @@ type Signal struct {
 	valid bool
 
 	id        int
-	listeners []Reactor
+	sim       *Simulator // owner; resolves listeners to reactor slots
+	listeners []int32    // slots in the owner's reactor table
 
 	// lastChange is used by probes/VCD for change detection bookkeeping.
 	lastChange Time
@@ -43,7 +44,10 @@ func (s *Signal) Bool() bool { return s.val&1 == 1 }
 func (s *Signal) LastChange() Time { return s.lastChange }
 
 // Listen registers r to be scheduled whenever the signal changes value.
-func (s *Signal) Listen(r Reactor) { s.listeners = append(s.listeners, r) }
+// The owning simulator resolves r to its reactor slot here, once, and
+// reads r's ordering id (ReactorID) at the same time: a component must
+// call AssignID before it first listens.
+func (s *Signal) Listen(r Reactor) { s.listeners = append(s.listeners, s.sim.slot(r)) }
 
 func (s *Signal) String() string {
 	if !s.valid {

@@ -92,23 +92,36 @@ type Simulator struct {
 	// the goroutine that owns the kernel.
 	Interrupt func() bool
 
-	pending map[Reactor]bool // reactors to run this delta
-	order   []Reactor
-	ids     map[Reactor]int // ordering ids for reactors without their own
-	nextID  int
+	// The reactor slot table. A reactor is resolved once, when it first
+	// listens (see slot): its slot caches the reactor, its ordering id
+	// and a queued flag, and listener lists hold slots, so the
+	// per-event path only indexes these slices. slotOf is the
+	// registration map, touched only by Listen and Reset.
+	slots  []reactorSlot
+	queued []bool // by slot: already in order this delta
+	slotOf map[Reactor]int32
+	order  []int32 // slots to run this delta
 
 	mark simMark // structural baseline Reset rewinds to (see Mark)
 }
 
+// reactorSlot is one entry of the reactor slot table.
+type reactorSlot struct {
+	r  Reactor
+	id int // ordering id, read once at registration
+}
+
 // simMark is the structural snapshot taken by Mark: how many signals
-// exist, how many listeners each carries, and how many finish callbacks
-// are registered. Reset truncates back to these counts, detaching
-// everything attached after the mark (clocks, watchdogs, probes, VCD
-// taps) while keeping the wired component graph itself.
+// exist, how many listeners each carries, how many reactors hold slots,
+// and how many finish callbacks are registered. Reset truncates back to
+// these counts, detaching everything attached after the mark (clocks,
+// watchdogs, probes, VCD taps) while keeping the wired component graph
+// itself.
 type simMark struct {
 	valid     bool
 	signals   int
 	listeners []int // per signal, parallel to Simulator.signals
+	slots     int
 	finalize  int
 }
 
@@ -138,20 +151,26 @@ func newSimulator(q kernelQueue, kernel string) *Simulator {
 		q:         q,
 		kernel:    kernel,
 		MaxDeltas: 10000,
-		pending:   make(map[Reactor]bool),
-		ids:       make(map[Reactor]int),
+		slotOf:    make(map[Reactor]int32),
 	}
 }
 
 // Kernel reports which queue implementation drives this simulator.
 func (s *Simulator) Kernel() string { return s.kernel }
 
-// NewSignal creates and registers a signal of the given width (1..64).
+// MaxWidth is the widest signal the kernel carries: values are held in
+// one uint64. Every layer that accepts a width from a description
+// (xmlspec validation, compiler.Compile, scenario specs) rejects wider
+// ones with an error before elaboration reaches NewSignal.
+const MaxWidth = 64
+
+// NewSignal creates and registers a signal of the given width
+// (1..MaxWidth), owned by this simulator.
 func (s *Simulator) NewSignal(name string, width int) *Signal {
-	if width <= 0 || width > 64 {
+	if width <= 0 || width > MaxWidth {
 		panic(fmt.Sprintf("hades: signal %q has invalid width %d", name, width))
 	}
-	sig := &Signal{name: name, width: width, mask: Mask(^uint64(0), width), id: len(s.signals)}
+	sig := &Signal{name: name, width: width, mask: Mask(^uint64(0), width), id: len(s.signals), sim: s}
 	s.signals = append(s.signals, sig)
 	return sig
 }
@@ -170,11 +189,12 @@ func (s *Simulator) Stats() Stats { return s.stats }
 func (s *Simulator) NoteElaboration() { s.stats.Elaborations++ }
 
 // Mark snapshots the simulator's structure — registered signals, their
-// listener counts, and finish callbacks — as the baseline Reset rewinds
-// to. The elaboration layer calls it once the component graph is wired,
-// so anything attached afterwards (clocks, watchdogs, probes, VCD taps)
-// is detached again by Reset while the graph itself survives. A later
-// Mark replaces the earlier one.
+// listener counts, the reactor slot table's length, and finish
+// callbacks — as the baseline Reset rewinds to. The elaboration layer
+// calls it once the component graph is wired, so anything attached
+// afterwards (clocks, watchdogs, probes, VCD taps) is detached again by
+// Reset while the graph itself survives. A later Mark replaces the
+// earlier one.
 func (s *Simulator) Mark() {
 	s.mark.valid = true
 	s.mark.signals = len(s.signals)
@@ -182,6 +202,7 @@ func (s *Simulator) Mark() {
 	for _, sig := range s.signals {
 		s.mark.listeners = append(s.mark.listeners, len(sig.listeners))
 	}
+	s.mark.slots = len(s.slots)
 	s.mark.finalize = len(s.finalize)
 }
 
@@ -191,7 +212,11 @@ func (s *Simulator) Mark() {
 // sequence counter and the per-run Stats counters rewind to zero, any
 // requested stop is cleared, and every signal becomes undefined again
 // (the power-on X state). When a Mark was taken, signals created and
-// listeners/finish callbacks attached after it are removed.
+// listeners/finish callbacks attached after it are removed, and the
+// reactor slot table is truncated to its marked length: reactors first
+// registered after the mark lose their slots, so re-arming a clock or
+// watchdog every round reuses the same slots instead of growing the
+// table.
 //
 // Reset touches only kernel state. Re-establishing the design's
 // power-on drives (constants, register reset values, FSM outputs) is
@@ -207,10 +232,7 @@ func (s *Simulator) Reset() {
 	s.q.reset()
 	s.now, s.delta, s.seq = 0, 0, 0
 	s.stopped, s.stopWhy = false, ""
-	for k := range s.pending {
-		delete(s.pending, k)
-	}
-	s.order = s.order[:0]
+	s.dequeue(s.order)
 	if s.mark.valid {
 		for _, sig := range s.signals[s.mark.signals:] {
 			sig.listeners = nil
@@ -219,6 +241,12 @@ func (s *Simulator) Reset() {
 		for i, sig := range s.signals {
 			sig.listeners = sig.listeners[:s.mark.listeners[i]]
 		}
+		n := s.mark.slots
+		for _, sl := range s.slots[n:] {
+			delete(s.slotOf, sl.r)
+		}
+		clear(s.slots[n:])
+		s.slots, s.queued = s.slots[:n], s.queued[:n]
 		s.finalize = s.finalize[:s.mark.finalize]
 	}
 	for _, sig := range s.signals {
@@ -251,7 +279,7 @@ func (s *Simulator) set(sig *Signal, val uint64, delay Time) {
 	e.at = s.now + delay
 	e.seq = s.seq
 	e.sig = sig
-	e.val = Mask(val, sig.width)
+	e.val = val & sig.mask
 	if delay == 0 {
 		// Same instant, next delta: a plain FIFO, because every event
 		// appended here belongs to delta s.delta+1 and seq is monotonic.
@@ -270,7 +298,7 @@ func (s *Simulator) set(sig *Signal, val uint64, delay Time) {
 // Drive immediately forces a signal value without an event; intended for
 // initialisation before Run (e.g. loading reset states).
 func (s *Simulator) Drive(sig *Signal, val int64) {
-	sig.val = Mask(uint64(val), sig.width)
+	sig.val = uint64(val) & sig.mask
 	sig.valid = true
 }
 
@@ -340,11 +368,8 @@ func (s *Simulator) Run(limit Time) (Time, error) {
 func (s *Simulator) runBatch(head *event) {
 	s.stats.Deltas++
 
-	// Phase 1: apply all signal updates of this (time, delta).
-	for k := range s.pending {
-		delete(s.pending, k) // leftovers only after a mid-batch stop
-	}
-	s.order = s.order[:0]
+	// Phase 1: apply all signal updates of this (time, delta), queueing
+	// each listening reactor's slot once.
 	for e := head; e != nil; {
 		s.stats.Events++
 		sig := e.sig
@@ -353,8 +378,11 @@ func (s *Simulator) runBatch(head *event) {
 		sig.valid = true
 		if changed {
 			sig.lastChange = s.now
-			for _, r := range sig.listeners {
-				s.schedule(r)
+			for _, slot := range sig.listeners {
+				if !s.queued[slot] {
+					s.queued[slot] = true
+					s.order = append(s.order, slot)
+				}
 			}
 		}
 		next := e.next
@@ -364,54 +392,67 @@ func (s *Simulator) runBatch(head *event) {
 
 	// Phase 2: evaluate affected reactors deterministically.
 	s.sortOrder()
-	for _, r := range s.order {
-		delete(s.pending, r)
+	for i, slot := range s.order {
+		s.queued[slot] = false
 		s.stats.Reactions++
-		r.React(s)
+		s.slots[slot].r.React(s)
 		if s.stopped {
+			s.dequeue(s.order[i+1:])
 			break
 		}
 	}
+	s.order = s.order[:0]
 }
 
-func (s *Simulator) schedule(r Reactor) {
-	if !s.pending[r] {
-		s.pending[r] = true
-		s.order = append(s.order, r)
+// dequeue clears the queued flags of slots that will not run this delta
+// (after a mid-batch stop, or on Reset) and empties the order.
+func (s *Simulator) dequeue(slots []int32) {
+	for _, slot := range slots {
+		s.queued[slot] = false
 	}
+	s.order = s.order[:0]
 }
 
-// sortOrder sorts the pending reactors by id. Batches are small and
-// listeners mostly fire in creation order already, so an insertion sort
-// beats sort.Slice here and — unlike sort.Slice — does not allocate,
-// keeping the steady-state event path allocation-free.
+// sortOrder sorts the queued slots by their cached ordering ids.
+// Batches are small and listeners mostly fire in creation order
+// already, so an insertion sort beats sort.Slice here and — unlike
+// sort.Slice — does not allocate, keeping the steady-state event path
+// allocation-free.
 func (s *Simulator) sortOrder() {
-	for i := 1; i < len(s.order); i++ {
-		r := s.order[i]
-		id := s.reactorID(r)
+	order, slots := s.order, s.slots
+	for i := 1; i < len(order); i++ {
+		slot := order[i]
+		id := slots[slot].id
 		j := i - 1
-		for j >= 0 && s.reactorID(s.order[j]) > id {
-			s.order[j+1] = s.order[j]
+		for j >= 0 && slots[order[j]].id > id {
+			order[j+1] = order[j]
 			j--
 		}
-		s.order[j+1] = r
+		order[j+1] = slot
 	}
 }
 
 // identified is implemented by reactors that carry a stable ordering id.
 type identified interface{ ReactorID() int }
 
-func (s *Simulator) reactorID(r Reactor) int {
-	if id, ok := r.(identified); ok {
-		return id.ReactorID()
+// slot returns r's index in the reactor slot table, registering it on
+// first use. The ordering id is read here, once: the reactor's own
+// ReactorID, or 1<<30 plus its registration order for a reactor without
+// one, so reactors without an id run after every component and, among
+// themselves, in the order they first listened.
+func (s *Simulator) slot(r Reactor) int32 {
+	if slot, ok := s.slotOf[r]; ok {
+		return slot
 	}
-	id, ok := s.ids[r]
-	if !ok {
-		s.nextID++
-		id = 1<<30 + s.nextID
-		s.ids[r] = id
+	slot := int32(len(s.slots))
+	id := 1<<30 + int(slot)
+	if c, ok := r.(identified); ok {
+		id = c.ReactorID()
 	}
-	return id
+	s.slots = append(s.slots, reactorSlot{r: r, id: id})
+	s.queued = append(s.queued, false)
+	s.slotOf[r] = slot
+	return slot
 }
 
 // IDBase hands out stable reactor ids; embed in components.

@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"repro/internal/api"
+	"repro/internal/hades"
 	"repro/internal/workloads"
 )
 
@@ -53,11 +54,12 @@ type paramDist struct {
 
 // Load validates a spec against a workload registry (nil means the
 // default registry) and returns the runnable scenario. Validation
-// covers the mix (families exist, every distribution is well-formed and
-// inside the parameter's [Min, Max] range), the arrival process, and
-// the fault plan (rates, bit counts, and the must-fail/must-recover
-// policies, which require an erasure-only mix — the MDS decoder is the
-// recovery oracle).
+// covers the datapath width (0, the compiler default, up to
+// hades.MaxWidth), the mix (families exist, every distribution is
+// well-formed and inside the parameter's [Min, Max] range), the arrival
+// process, and the fault plan (rates, bit counts, and the
+// must-fail/must-recover policies, which require an erasure-only mix —
+// the MDS decoder is the recovery oracle).
 func Load(spec *api.ScenarioSpec, reg *workloads.Registry) (*Scenario, error) {
 	if reg == nil {
 		reg = workloads.Default
@@ -70,6 +72,10 @@ func Load(spec *api.ScenarioSpec, reg *workloads.Registry) (*Scenario, error) {
 	}
 	if spec.Cases < 1 || spec.Cases > MaxCases {
 		return nil, fmt.Errorf("scenario: %s: cases %d outside [1, %d]", spec.Name, spec.Cases, MaxCases)
+	}
+	if spec.Width < 0 || spec.Width > hades.MaxWidth {
+		return nil, fmt.Errorf("scenario: %s: width %d outside [0, %d] (0 selects the compiler default)",
+			spec.Name, spec.Width, hades.MaxWidth)
 	}
 	if len(spec.Mix) == 0 {
 		return nil, fmt.Errorf("scenario: %s: empty mix", spec.Name)

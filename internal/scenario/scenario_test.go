@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/hades"
 )
 
 func intp(n int) *int { return &n }
@@ -219,5 +220,25 @@ func TestExampleSpecsLoad(t *testing.T) {
 	}
 	if _, err := LoadExample("nope.json", nil); err == nil {
 		t.Error("unknown example must error")
+	}
+}
+
+// TestLoadRejectsOutOfRangeWidth pins the spec-level width check: a
+// width outside [0, hades.MaxWidth] is a load error, so a campaign
+// never reaches elaboration with a width the kernel cannot carry.
+func TestLoadRejectsOutOfRangeWidth(t *testing.T) {
+	for _, w := range []int{-1, hades.MaxWidth + 1, 100} {
+		spec := validSpec()
+		spec.Width = w
+		if _, err := Load(spec, nil); err == nil || !strings.Contains(err.Error(), "width") {
+			t.Errorf("width %d: err=%v", w, err)
+		}
+	}
+	for _, w := range []int{0, 16, hades.MaxWidth} {
+		spec := validSpec()
+		spec.Width = w
+		if _, err := Load(spec, nil); err != nil {
+			t.Errorf("width %d: %v", w, err)
+		}
 	}
 }

@@ -3,7 +3,9 @@ package simd_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/hades"
 	"repro/internal/scenario"
 	"repro/internal/simd"
 	"repro/internal/sweep"
@@ -298,5 +301,28 @@ func TestServerCountsSweepShards(t *testing.T) {
 	}
 	if st.SweepShards != 2 || st.SweepShardCases != 4 {
 		t.Errorf("sweep counters = %d shards / %d cases, want 2/4", st.SweepShards, st.SweepShardCases)
+	}
+}
+
+// TestShardedSweepRejectsWideScenario pins the width limit on the
+// sharded endpoint: sweep.Load runs the scenario's width check, so a
+// spec wider than the kernel's words draws a 400 before any shard byte
+// is streamed.
+func TestShardedSweepRejectsWideScenario(t *testing.T) {
+	ts, _ := testServer(t, simd.Config{Workers: 1})
+	spec := shardScenarioSpec(3, 2)
+	spec.Width = hades.MaxWidth + 1
+	body, err := json.Marshal(api.SweepRequest{Spec: *sweep.WrapScenario(spec, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+simd.PathShardedSweep, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "width 65") {
+		t.Fatalf("status %d body %q, want 400 naming width 65", resp.StatusCode, msg)
 	}
 }

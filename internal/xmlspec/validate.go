@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/hades"
 	"repro/internal/operators"
 )
 
@@ -29,6 +30,14 @@ func (c *checker) addf(format string, args ...interface{}) {
 	c.problems = append(c.problems, fmt.Sprintf(format, args...))
 }
 
+// width reports a declared width the kernel cannot carry. Zero, the
+// absent attribute, selects the dialect's default.
+func (c *checker) width(kind, name string, w int) {
+	if w < 0 || w > hades.MaxWidth {
+		c.addf("%s %q has width %d outside [1, %d]", kind, name, w, hades.MaxWidth)
+	}
+}
+
 func (c *checker) err() error {
 	if len(c.problems) == 0 {
 		return nil
@@ -46,10 +55,12 @@ func endpoint(s string) (inst, port string, ok bool) {
 }
 
 // ValidateDatapath checks structural sanity against the operator registry:
-// known types, unique ids, endpoints referencing real instance ports with
-// compatible directions, and single drivers per sink port.
+// widths the kernel can carry, known types, unique ids, endpoints
+// referencing real instance ports with compatible directions, and single
+// drivers per sink port.
 func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 	c := &checker{doc: "datapath " + d.Name}
+	c.width("datapath", d.Name, d.Width)
 	ports := map[string]map[string]operators.PortSpec{} // inst -> port -> spec
 	for i := range d.Operators {
 		op := &d.Operators[i]
@@ -57,6 +68,7 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 			c.addf("operator %d has no id", i)
 			continue
 		}
+		c.width("operator", op.ID, op.Width)
 		if _, dup := ports[op.ID]; dup {
 			c.addf("duplicate operator id %q", op.ID)
 			continue
@@ -131,6 +143,7 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 			c.addf("duplicate control %q", ctl.Name)
 		}
 		ctlSeen[ctl.Name] = true
+		c.width("control", ctl.Name, ctl.Width)
 		if len(ctl.Targets) == 0 {
 			c.addf("control %q has no targets", ctl.Name)
 		}
@@ -144,6 +157,7 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 			c.addf("duplicate status %q", st.Name)
 		}
 		stSeen[st.Name] = true
+		c.width("status", st.Name, st.Width)
 		srcOK(st.From, "status "+st.Name)
 	}
 	return c.err()
@@ -168,7 +182,8 @@ func ParamsOf(op *Operator, defaultWidth int) operators.Params {
 
 // ValidateFSM checks the control unit: exactly one initial state, unique
 // state names, transitions to known states, assignments to declared
-// outputs, no duplicate declarations, and at least one final state.
+// outputs, signal widths the kernel can carry, no duplicate
+// declarations, and at least one final state.
 func ValidateFSM(f *FSM) error {
 	c := &checker{doc: "fsm " + f.Name}
 	states := map[string]bool{}
@@ -197,6 +212,7 @@ func ValidateFSM(f *FSM) error {
 			c.addf("duplicate input %q", in.Name)
 		}
 		inputs[in.Name] = true
+		c.width("input", in.Name, in.Width)
 	}
 	outputs := map[string]bool{}
 	for _, out := range f.Outputs {
@@ -204,6 +220,7 @@ func ValidateFSM(f *FSM) error {
 			c.addf("duplicate output %q", out.Name)
 		}
 		outputs[out.Name] = true
+		c.width("output", out.Name, out.Width)
 	}
 	for _, s := range f.States {
 		for _, a := range s.Assigns {
@@ -228,7 +245,8 @@ func ValidateFSM(f *FSM) error {
 
 // ValidateRTG checks the reconfiguration graph: start node exists,
 // transitions reference known configurations, configuration ids unique,
-// shared memories unique with positive depth.
+// shared memories unique with positive depth and a width the kernel can
+// carry.
 func ValidateRTG(r *RTG) error {
 	c := &checker{doc: "rtg " + r.Name}
 	cfgs := map[string]bool{}
@@ -269,6 +287,7 @@ func ValidateRTG(r *RTG) error {
 		if m.Depth <= 0 {
 			c.addf("memory %q needs a positive depth", m.ID)
 		}
+		c.width("memory", m.ID, m.Width)
 	}
 	return c.err()
 }

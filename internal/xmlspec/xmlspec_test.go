@@ -1,9 +1,11 @@
 package xmlspec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/hades"
 	"repro/internal/operators"
 )
 
@@ -357,5 +359,50 @@ func TestOperatorCountMatchesTableIColumn(t *testing.T) {
 	}
 	if _, ok := dp.FindOperator("nope"); ok {
 		t.Fatal("FindOperator false positive")
+	}
+}
+
+// TestValidateRejectsWidthsBeyondKernel pins the width limit in every
+// dialect: a width the event kernel cannot carry (one uint64 per
+// signal) is a validation error, not a panic later in elaboration, and
+// hades.MaxWidth itself still validates.
+func TestValidateRejectsWidthsBeyondKernel(t *testing.T) {
+	reg := operators.DefaultRegistry()
+	for _, w := range []int{hades.MaxWidth + 1, 100, -1} {
+		dps := map[string]func(*Datapath){
+			"datapath": func(d *Datapath) { d.Width = w },
+			"operator": func(d *Datapath) { d.Operators[2].Width = w },
+			"control":  func(d *Datapath) { d.Controls[0].Width = w },
+			"status":   func(d *Datapath) { d.Statuses[0].Width = w },
+		}
+		for name, mutate := range dps {
+			dp := smallDatapath()
+			mutate(dp)
+			if err := ValidateDatapath(dp, reg); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("width %d", w)) {
+				t.Errorf("%s width %d: err=%v", name, w, err)
+			}
+		}
+		fsms := map[string]func(*FSM){
+			"input":  func(f *FSM) { f.Inputs[0].Width = w },
+			"output": func(f *FSM) { f.Outputs[0].Width = w },
+		}
+		for name, mutate := range fsms {
+			f := smallFSM()
+			mutate(f)
+			if err := ValidateFSM(f); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("width %d", w)) {
+				t.Errorf("fsm %s width %d: err=%v", name, w, err)
+			}
+		}
+		r := smallRTG()
+		r.Memories = []SharedMemory{{ID: "m", Depth: 4, Width: w}}
+		if err := ValidateRTG(r); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("width %d", w)) {
+			t.Errorf("memory width %d: err=%v", w, err)
+		}
+	}
+
+	dp := smallDatapath()
+	dp.Width = hades.MaxWidth
+	if err := ValidateDatapath(dp, reg); err != nil {
+		t.Fatalf("width %d must validate: %v", hades.MaxWidth, err)
 	}
 }
