@@ -47,7 +47,7 @@ scenario-smoke:
 	$(GO) run ./cmd/testsuite -scenario examples/scenarios/erasure-recover.json -trace $$tmp && \
 	$(GO) run ./cmd/testsuite -replay $$tmp && \
 	$(GO) run ./cmd/testsuite -replay $$tmp -backend compiled && \
-	$(GO) run ./cmd/testsuite -replay $$tmp -counterfactual backend=heapref; \
+	$(GO) run ./cmd/testsuite -replay $$tmp -counterfactual backend=compiled; \
 	rc=$$?; rm -f $$tmp; exit $$rc
 
 # sweep-smoke mirrors the CI sweep step: run a sharded campaign across
@@ -92,7 +92,7 @@ bench-update:
 	done
 
 # bench-go runs the go-test benchmarks (Table I rows, kernel two-level
-# vs heap reference) once each.
+# vs seed reference) once each.
 bench-go:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 	$(GO) test -run XXX -bench 'BenchmarkKernel' -benchtime 0.2s ./internal/hades/

@@ -7,7 +7,7 @@
 //	bench -list-workloads            # show the workload families and their parameters
 //	bench -list-backends             # show the registered simulator backends
 //	bench                            # run the pinned set, write BENCH_*.json to .
-//	bench -backend heapref           # same scenarios on the heap kernel
+//	bench -backend compiled          # same scenarios on the cycle engine
 //	bench -scenarios all -out bout   # run everything, write files to bout/
 //	bench -baseline bench/baseline/twolevel  # fail on >25% events/sec drop or allocs/event rise
 //	bench -update-baseline           # refresh the checked-in baseline instead

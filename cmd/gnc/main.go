@@ -12,7 +12,7 @@
 //	gnc -src fdct.mj -func fdct -size img=4096 -size tmp=4096 \
 //	    -size out=4096 -arg nblocks=64 -out build/ -emit
 //	gnc -src lib.mj -func f,g,h -verify -j 4 -failfast -json
-//	gnc -src lib.mj -func f -verify -backend heapref
+//	gnc -src lib.mj -func f -verify -backend compiled
 //	gnc -workload fir,n=1024,taps=16 -out build/ -emit
 //	gnc -workload matmul,n=32 -verify
 package main

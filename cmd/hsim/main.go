@@ -10,9 +10,9 @@
 // Usage:
 //
 //	hsim -design build/ -mem img=img.mem -cycles 10000000 -vcd waves
-//	hsim -design build/ -backend heapref
+//	hsim -design build/ -backend compiled
 //	hsim -design build/ -repeat 16        # reset-and-replay 16 rounds
-//	hsim -workload newton,n=1024 -backend heapref -vcd waves
+//	hsim -workload newton,n=1024 -vcd waves
 //
 // The scenario engine runs here too (docs/SCENARIOS.md):
 //

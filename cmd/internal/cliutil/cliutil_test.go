@@ -118,7 +118,7 @@ func TestFlowFlagsParse(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	var ff FlowFlags
 	ff.Register(fs)
-	if err := fs.Parse([]string{"-backend", "heapref", "-period", "4", "-cycles", "99"}); err != nil {
+	if err := fs.Parse([]string{"-backend", "compiled", "-period", "4", "-cycles", "99"}); err != nil {
 		t.Fatal(err)
 	}
 	p, err := flow.New(ff.Options()...)
@@ -126,7 +126,7 @@ func TestFlowFlagsParse(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := p.Config()
-	if cfg.Backend != "heapref" || cfg.ClockPeriod != 4 || cfg.MaxCycles != 99 {
+	if cfg.Backend != "compiled" || cfg.ClockPeriod != 4 || cfg.MaxCycles != 99 {
 		t.Fatalf("cfg=%+v", cfg)
 	}
 	if _, err := flow.New(flow.WithBackend("bogus")); err == nil {

@@ -22,7 +22,7 @@
 //	simd -addr :9000 -workers 16  # bounded worker pool
 //	simd -max-sessions 4          # LRU session pool capacity
 //	simd -rate 50 -burst 100      # token-bucket admission
-//	simd -backend heapref         # default simulator backend
+//	simd -backend compiled        # default simulator backend
 package main
 
 import (

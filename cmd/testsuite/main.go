@@ -12,7 +12,7 @@
 //	testsuite -json           # one JSON object per case (CI artifacts)
 //	testsuite -failfast -timeout 30s
 //	testsuite -repeat 8       # verify sweep: 8 reset-and-replay rounds per case
-//	testsuite -backend heapref # run the whole suite on the heap kernel
+//	testsuite -backend compiled # run the whole suite on the cycle engine
 //	testsuite -table1         # reproduce Table I (plus the newer families)
 //	testsuite -pixels 65536   # FDCT cases over a larger image
 //

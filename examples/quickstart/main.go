@@ -34,8 +34,8 @@ func main() {
 	}
 
 	// Run the same flow on every registered simulator backend; the
-	// event kernels agree event for event, the compiled cycle engine
-	// clock edge for clock edge.
+	// compiled cycle engine agrees with the event kernel clock edge for
+	// clock edge.
 	for _, backend := range repro.Backends() {
 		fmt.Printf("--- backend %s (%s) ---\n", backend.Name, backend.Kind)
 		out, err := repro.Run(source,

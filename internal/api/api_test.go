@@ -194,7 +194,6 @@ func TestBackendsResponseRoundTrip(t *testing.T) {
 		Backends: []BackendInfo{
 			{Name: "twolevel", Kind: "event", Desc: "two-level event queue"},
 			{Name: "compiled", Kind: "cycle", Desc: "levelized engine", SupportsGang: true},
-			{Name: "heapref", Kind: "event", Desc: "seed binary-heap kernel"},
 		},
 	}
 	doc, err := json.Marshal(in)

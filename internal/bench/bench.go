@@ -212,7 +212,7 @@ const allocFloor = 0.05
 // scenario can never pass the gate, and a backend mismatch between a
 // result and its baseline is reported as incomparable — gating a
 // backend against another backend's numbers (a stale -baseline path)
-// must never pass or fail on the difference between the kernels.
+// must never pass or fail on the difference between the engines.
 func Compare(current, baseline map[string]*Result, threshold float64) []Regression {
 	var regs []Regression
 	names := make([]string, 0, len(baseline))

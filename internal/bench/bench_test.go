@@ -173,25 +173,29 @@ func TestPinnedScenariosExecute(t *testing.T) {
 }
 
 // TestScenariosPerBackend: the registry parameterizes over the
-// simulator backends; a kernel scenario and an e2e scenario must
-// prepare and execute on heapref, and the results must carry the
-// backend name for the per-backend baseline gate.
+// simulator backends; an e2e scenario must prepare and execute on
+// compiled, the results must carry the backend name for the
+// per-backend baseline gate, and the cycle backend's registry has no
+// raw kernel scenarios.
 func TestScenariosPerBackend(t *testing.T) {
-	scs, err := Select("kernel-fanout,hamming-256", ScenariosFor("heapref"))
+	scs, err := Select("hamming-256", ScenariosFor("compiled"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sc := range scs {
-		if sc.Backend != "heapref" {
+		if sc.Backend != "compiled" {
 			t.Fatalf("%s: backend %q", sc.Name, sc.Backend)
 		}
 		res, err := Run(sc, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Backend != "heapref" || res.Events == 0 {
+		if res.Backend != "compiled" || res.Events == 0 {
 			t.Fatalf("%s: result %+v", sc.Name, res)
 		}
+	}
+	if _, err := Select("kernel-fanout", ScenariosFor("compiled")); err == nil {
+		t.Fatal("the compiled registry must not carry event-kernel scenarios")
 	}
 	if _, err := Select("kernel-fanout", ScenariosFor("no-such-backend")); err != nil {
 		t.Fatal(err) // selection works; preparation reports the bad backend
@@ -204,7 +208,7 @@ func TestScenariosPerBackend(t *testing.T) {
 
 func TestCompareRejectsBackendMismatch(t *testing.T) {
 	base := map[string]*Result{"s": {Name: "s", Backend: "twolevel", EventsPerSec: 1000}}
-	cur := map[string]*Result{"s": {Name: "s", Backend: "heapref", EventsPerSec: 1000}}
+	cur := map[string]*Result{"s": {Name: "s", Backend: "compiled", EventsPerSec: 1000}}
 	regs := Compare(cur, base, 0.25)
 	if len(regs) != 1 || regs[0].Mismatch == "" {
 		t.Fatalf("regs=%v", regs)

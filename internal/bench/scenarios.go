@@ -38,7 +38,7 @@ func ScenariosFor(backend string) []Scenario {
 		list = []Scenario{
 			// Raw kernel traffic: the substrate numbers behind every
 			// simulation time. Mirrors the pinned shapes benchmarked against
-			// the heap kernel in internal/hades.
+			// the seed heap reference in internal/hades.
 			kernelScenario(backend, "kernel-rings", "64 self-rescheduling rings, periods 2..17 (lane traffic)", true,
 				200_000, buildRings),
 			kernelScenario(backend, "kernel-deltastorm", "32 rings with two zero-delay hops per firing (delta traffic)", true,

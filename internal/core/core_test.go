@@ -267,19 +267,19 @@ func TestZeroOptionsObserveFlowDefaults(t *testing.T) {
 		t.Errorf("Backend=%q want %q", cfg.Backend, flow.DefaultBackend)
 	}
 	// Explicit values still pass through.
-	p2, err := flow.New(Options{ClockPeriod: 4, MaxCycles: 123, Backend: "heapref"}.FlowOptions(nil)...)
+	p2, err := flow.New(Options{ClockPeriod: 4, MaxCycles: 123, Backend: "compiled"}.FlowOptions(nil)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := p2.Config()
-	if cfg2.ClockPeriod != 4 || cfg2.MaxCycles != 123 || cfg2.Backend != "heapref" {
+	if cfg2.ClockPeriod != 4 || cfg2.MaxCycles != 123 || cfg2.Backend != "compiled" {
 		t.Fatalf("cfg2=%+v", cfg2)
 	}
 }
 
 // TestSuitePassesUnderEveryBackend runs the hamming regression case on
 // every registered backend — the suite-level acceptance of the
-// backend registry (`testsuite -backend heapref` in miniature).
+// backend registry (`testsuite -backend compiled` in miniature).
 func TestSuitePassesUnderEveryBackend(t *testing.T) {
 	for _, backend := range flow.Backends() {
 		if strings.HasPrefix(backend.Name, "test-") {

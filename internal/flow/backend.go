@@ -86,12 +86,6 @@ func init() {
 		New:  hades.NewSimulator,
 	})
 	MustRegisterBackend(Backend{
-		Name: hades.KernelHeapRef,
-		Desc: "seed binary-heap kernel, the reference scheduling discipline",
-		Kind: KindEvent,
-		New:  hades.NewHeapRefSimulator,
-	})
-	MustRegisterBackend(Backend{
 		Name:         BackendCompiled,
 		Desc:         "levelized cycle-by-cycle engine, no event queue; evaluates configuration gangs in lockstep",
 		Kind:         KindCycle,

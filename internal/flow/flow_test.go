@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -81,8 +82,8 @@ func TestRTGObservesFlowDefaults(t *testing.T) {
 
 func TestBackendRegistry(t *testing.T) {
 	infos := flow.Backends()
-	if len(infos) < 3 || infos[0].Name != "twolevel" {
-		t.Fatalf("Backends()=%v, want twolevel first", infos)
+	if len(infos) < 2 || infos[0].Name != "twolevel" || infos[1].Name != "compiled" {
+		t.Fatalf("Backends()=%v, want twolevel, then compiled", infos)
 	}
 	byName := map[string]flow.BackendInfo{}
 	for _, bi := range infos {
@@ -91,8 +92,8 @@ func TestBackendRegistry(t *testing.T) {
 		}
 		byName[bi.Name] = bi
 	}
-	if bi, ok := byName["heapref"]; !ok || bi.Kind != flow.KindEvent || bi.SupportsGang {
-		t.Fatalf("heapref descriptor wrong or missing: %+v", byName["heapref"])
+	if bi := byName["twolevel"]; bi.Kind != flow.KindEvent || bi.SupportsGang {
+		t.Fatalf("twolevel descriptor wrong: %+v", bi)
 	}
 	if bi, ok := byName["compiled"]; !ok || bi.Kind != flow.KindCycle || !bi.SupportsGang {
 		t.Fatalf("compiled descriptor wrong or missing: %+v", byName["compiled"])
@@ -155,12 +156,18 @@ func TestCustomBackendSelectable(t *testing.T) {
 }
 
 // TestRunVerifiesUnderEveryBackend is the acceptance check in miniature:
-// the same case passes on every registered kernel, with identical event
-// counts and identical memory contents (the kernels are required to be
-// observationally equivalent).
+// the same case passes on every registered backend, and the backends
+// agree on the final memory contents and on each configuration's cycle
+// count and final state (the engines are required to be observationally
+// equivalent at clock edges).
 func TestRunVerifiesUnderEveryBackend(t *testing.T) {
-	var events []uint64
-	for _, name := range []string{"twolevel", "heapref"} {
+	var ref *flow.SimResult
+	refName := ""
+	for _, bi := range flow.Backends() {
+		name := bi.Name
+		if strings.HasPrefix(name, "test-") {
+			continue // registered by other tests
+		}
 		p, err := flow.New(flow.WithBackend(name))
 		if err != nil {
 			t.Fatal(err)
@@ -177,10 +184,26 @@ func TestRunVerifiesUnderEveryBackend(t *testing.T) {
 				t.Errorf("%s: configuration %s ran on kernel %q", name, run.ID, run.Kernel)
 			}
 		}
-		events = append(events, out.Sim.Events)
+		if ref == nil {
+			ref, refName = out.Sim, name
+			continue
+		}
+		if !reflect.DeepEqual(out.Sim.Memories, ref.Memories) {
+			t.Errorf("%s: memories %v diverge from %s's %v", name, out.Sim.Memories, refName, ref.Memories)
+		}
+		if len(out.Sim.Runs) != len(ref.Runs) {
+			t.Fatalf("%s: %d configurations, %s ran %d", name, len(out.Sim.Runs), refName, len(ref.Runs))
+		}
+		for i, run := range out.Sim.Runs {
+			want := ref.Runs[i]
+			if run.ID != want.ID || run.Cycles != want.Cycles || run.FinalState != want.FinalState {
+				t.Errorf("%s: configuration %s ran %d cycles to %q, %s: %s ran %d cycles to %q",
+					name, run.ID, run.Cycles, run.FinalState, refName, want.ID, want.Cycles, want.FinalState)
+			}
+		}
 	}
-	if events[0] != events[1] {
-		t.Fatalf("kernels diverge: %d vs %d events", events[0], events[1])
+	if ref == nil {
+		t.Fatal("no backend registered")
 	}
 }
 

@@ -2,56 +2,6 @@ package hades
 
 import "math/bits"
 
-// kernelQueue is the scheduling core behind a Simulator: it owns every
-// pending future event (the same-instant delta FIFO lives in the
-// Simulator itself). Two implementations exist — the two-level queue
-// below (the default) and the promoted seed heap kernel in heapqueue.go
-// — selectable per simulator so the flow layer can expose them as
-// backends and the suite can run identically under both.
-//
-// The contract mirrors the Run loop's needs: peekTime finds the
-// earliest queued instant without committing window movement (the
-// caller may abandon it on a limit or interrupt), commitTime finalises
-// a peeked instant, and popInstant hands back the whole (time) batch as
-// a seq-ordered chain. alloc/release pool event structs so the steady
-// state schedules without allocating; reset returns every pending event
-// to that pool and rewinds the structure to time zero, so a replayed
-// run reuses the warmed pool instead of reallocating it.
-type kernelQueue interface {
-	alloc() *event
-	release(*event)
-	len() int
-	schedule(*event)
-	peekTime(limit Time) (t Time, deferred bool, ok bool)
-	commitTime(t Time, deferred bool)
-	popInstant(t Time) *event
-	reset()
-}
-
-// eventPool is the intrusive free list shared by the queue
-// implementations; the event's chain pointer doubles as the pool link.
-type eventPool struct {
-	free *event
-}
-
-// alloc takes an event from the pool, or allocates one.
-func (p *eventPool) alloc() *event {
-	if e := p.free; e != nil {
-		p.free = e.next
-		e.next = nil
-		return e
-	}
-	return &event{}
-}
-
-// release returns a processed event to the pool. The signal pointer is
-// dropped so the pool never outlives a signal's reachability.
-func (p *eventPool) release(e *event) {
-	e.sig = nil
-	e.next = p.free
-	p.free = e
-}
-
 // Two-level event queue. The kernel spends almost all of its cycle
 // budget scheduling and popping events, so the structure is tuned for
 // the traffic an HDL simulation actually produces: the overwhelming
@@ -100,8 +50,11 @@ type event struct {
 	next *event
 }
 
+// twoLevelQueue is the scheduling core behind a Simulator: it owns every
+// pending future event (the same-instant delta FIFO lives in the
+// Simulator itself).
 type twoLevelQueue struct {
-	eventPool
+	free *event // intrusive free list; the chain pointer is the pool link
 
 	laneHead [laneCount]*event
 	laneTail [laneCount]*event
@@ -111,6 +64,24 @@ type twoLevelQueue struct {
 	scan     Time              // no lane event is earlier than this
 
 	overflow []*event // min-heap keyed (at, seq)
+}
+
+// alloc takes an event from the pool, or allocates one.
+func (q *twoLevelQueue) alloc() *event {
+	if e := q.free; e != nil {
+		q.free = e.next
+		e.next = nil
+		return e
+	}
+	return &event{}
+}
+
+// release returns a processed event to the pool. The signal pointer is
+// dropped so the pool never outlives a signal's reachability.
+func (q *twoLevelQueue) release(e *event) {
+	e.sig = nil
+	e.next = q.free
+	q.free = e
 }
 
 // len reports the number of queued events (lanes + overflow).
@@ -304,4 +275,12 @@ func (q *twoLevelQueue) popOverflow() *event {
 	q.overflow = h
 	top.next = nil
 	return top
+}
+
+// heapLess orders the overflow heap by (time, seq).
+func heapLess(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }

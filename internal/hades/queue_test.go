@@ -13,7 +13,8 @@ import (
 // binary heap. The two-level queue must be observationally identical, so
 // we replay randomized schedules — near delays, zero-delay chains, and
 // far delays that detour through the overflow heap — on mirrored
-// topologies and require the full reaction traces to match exactly.
+// topologies and require the full reaction traces, final values and
+// event, delta and instant counts to match exactly.
 
 type traceEntry struct {
 	at  Time
@@ -21,9 +22,10 @@ type traceEntry struct {
 	val uint64
 }
 
-// follow is the shared follow-on rule both kernels execute from their
-// reactors; it spawns delta chains, near events inside the lane window,
-// and far events beyond it (laneCount=1024 < 2000).
+// follow is the shared follow-on rule the kernel and the seed reference
+// execute from their reactors; it spawns delta chains, near events
+// inside the lane window, and far events beyond it (laneCount=1024 <
+// 2000).
 func follow(i int, v uint64, n int) (tgt int, val uint64, delay Time, ok bool) {
 	switch v % 5 {
 	case 0:
@@ -44,9 +46,9 @@ type mirrorReactor struct {
 func (m *mirrorReactor) Name() string     { return "mirror" }
 func (m *mirrorReactor) React(*Simulator) { m.fn() }
 
-func runMirrored(t *testing.T, seed int64, newSim func() *Simulator, nsig, nevents, maxVal, maxDelay int) {
+func runMirrored(t *testing.T, seed int64, nsig, nevents, maxVal, maxDelay int) {
 	t.Helper()
-	sim := newSim()
+	sim := NewSimulator()
 	ref := newHeapSim()
 	sigs := make([]*Signal, nsig)
 	refs := make([]*refSignal, nsig)
@@ -102,8 +104,10 @@ func runMirrored(t *testing.T, seed int64, newSim func() *Simulator, nsig, neven
 			t.Fatalf("seed %d: trace[%d] = %+v, reference %+v", seed, k, simTrace[k], refTrace[k])
 		}
 	}
-	if sim.Stats().Events != ref.events {
-		t.Fatalf("seed %d: events %d != reference %d", seed, sim.Stats().Events, ref.events)
+	st := sim.Stats()
+	if st.Events != ref.events || st.Deltas != ref.deltas || st.Instants != ref.instants {
+		t.Fatalf("seed %d: events/deltas/instants %d/%d/%d != reference %d/%d/%d", seed,
+			st.Events, st.Deltas, st.Instants, ref.events, ref.deltas, ref.instants)
 	}
 	for i := range sigs {
 		if sigs[i].Uint() != refs[i].Uint() || sigs[i].Valid() != refs[i].valid {
@@ -115,7 +119,7 @@ func runMirrored(t *testing.T, seed int64, newSim func() *Simulator, nsig, neven
 
 func TestQueueOrderMatchesHeapProperty(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		runMirrored(t, seed, NewSimulator, 8, 40, 1000, 3000)
+		runMirrored(t, seed, 8, 40, 1000, 3000)
 	}
 }
 
@@ -124,7 +128,7 @@ func TestQueueOrderDuplicateTimes(t *testing.T) {
 	// suppression, and repeated (time, seq) collisions around the
 	// lane-window boundary.
 	for seed := int64(100); seed < 130; seed++ {
-		runMirrored(t, seed, NewSimulator, 4, 60, 5, 2600)
+		runMirrored(t, seed, 4, 60, 5, 2600)
 	}
 }
 

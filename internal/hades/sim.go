@@ -64,11 +64,10 @@ var ErrInterrupted = errors.New("hades: run interrupted")
 // instant or delta is popped in one step with no per-event ordering
 // work.
 type Simulator struct {
-	now    Time
-	delta  int
-	seq    uint64
-	q      kernelQueue
-	kernel string // kernelQueue implementation name (KernelTwoLevel, ...)
+	now   Time
+	delta int
+	seq   uint64
+	q     twoLevelQueue
 
 	// nextDelta chains the zero-delay events of the current instant in
 	// insertion order; they run as one batch at delta s.delta+1.
@@ -125,38 +124,15 @@ type simMark struct {
 	finalize  int
 }
 
-// Kernel names for the queue implementations behind a Simulator. The
-// flow package registers one simulator backend per kernel.
-const (
-	KernelTwoLevel = "twolevel" // two-level time-bucketed queue (queue.go)
-	KernelHeapRef  = "heapref"  // seed binary-heap kernel (heapqueue.go)
-)
+// KernelTwoLevel names the event kernel: the two-level time-bucketed
+// queue (queue.go). The flow package registers it as the default
+// backend.
+const KernelTwoLevel = "twolevel"
 
-// NewSimulator returns an empty simulator on the default two-level
-// queue kernel.
+// NewSimulator returns an empty simulator.
 func NewSimulator() *Simulator {
-	return newSimulator(&twoLevelQueue{}, KernelTwoLevel)
+	return &Simulator{MaxDeltas: 10000, slotOf: make(map[Reactor]int32)}
 }
-
-// NewHeapRefSimulator returns an empty simulator on the promoted seed
-// heap kernel — the reference scheduling discipline the two-level queue
-// is property-tested against, available as a real backend so suites can
-// cross-check full runs under both kernels.
-func NewHeapRefSimulator() *Simulator {
-	return newSimulator(&heapQueue{}, KernelHeapRef)
-}
-
-func newSimulator(q kernelQueue, kernel string) *Simulator {
-	return &Simulator{
-		q:         q,
-		kernel:    kernel,
-		MaxDeltas: 10000,
-		slotOf:    make(map[Reactor]int32),
-	}
-}
-
-// Kernel reports which queue implementation drives this simulator.
-func (s *Simulator) Kernel() string { return s.kernel }
 
 // MaxWidth is the widest signal the kernel carries: values are held in
 // one uint64. Every layer that accepts a width from a description

@@ -262,7 +262,7 @@ func Elaborate(sim *hades.Simulator, clk *hades.Signal, dp *xmlspec.Datapath,
 //
 // After Reset the elaboration is bit-for-bit in the state a fresh
 // Elaborate with the same seeds would produce, which
-// rtg.TestReplayMatchesFreshElaboration pins on both kernels.
+// rtg.TestReplayMatchesFreshElaboration pins.
 func (el *Elaboration) Reset(init map[string][]int64) {
 	sim := el.Sim
 	sim.Reset()

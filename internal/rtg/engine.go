@@ -13,8 +13,7 @@ import (
 // controller an Engine through Options.Engine; event backends arrive
 // wrapped in a SimulatorEngine.
 type Engine interface {
-	// EngineName identifies the engine in run records (ConfigRun.Kernel
-	// for cycle engines; event engines report the kernel's own name).
+	// EngineName identifies the engine in run records (ConfigRun.Kernel).
 	EngineName() string
 }
 
@@ -29,17 +28,12 @@ type EventEngine interface {
 // SimulatorEngine adapts a bare event-kernel factory — the shape every
 // pre-engine backend registered — to the Engine interface.
 type SimulatorEngine struct {
-	Kernel string // reported name; "" falls back to "event"
+	Kernel string // reported name
 	New    func() *hades.Simulator
 }
 
 // EngineName returns the configured kernel name.
-func (e *SimulatorEngine) EngineName() string {
-	if e.Kernel == "" {
-		return "event"
-	}
-	return e.Kernel
-}
+func (e *SimulatorEngine) EngineName() string { return e.Kernel }
 
 // NewSimulator builds one event kernel instance.
 func (e *SimulatorEngine) NewSimulator() *hades.Simulator { return e.New() }

@@ -53,12 +53,8 @@ type Options struct {
 	ClockPeriod hades.Time          // required; > 0
 	MaxCycles   uint64              // per configuration; required
 	MaxConfigs  int                 // reconfiguration bound; required
-	// NewSimulator builds the event kernel for each configuration
-	// (nil: hades.NewSimulator). The legacy hook, kept for direct
-	// controller users; it is ignored when Engine is set.
-	NewSimulator func() *hades.Simulator
-	// Engine selects the execution engine. nil wraps NewSimulator (or
-	// the default kernel) in a SimulatorEngine — the event path. A
+	// Engine selects the execution engine. nil runs the event path on
+	// hades.NewSimulator, reported as the twolevel kernel. A
 	// CycleEngine switches the controller to compiled clock-by-clock
 	// execution: configurations are levelized once and replayed with no
 	// event queue, and ExecuteGang runs them in lockstep across lanes.
@@ -94,16 +90,10 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.Registry == nil {
 		out.Registry = operators.DefaultRegistry()
 	}
-	if out.NewSimulator == nil {
-		out.NewSimulator = hades.NewSimulator
-	}
 	switch e := out.Engine.(type) {
 	case nil:
-		out.Engine = &SimulatorEngine{New: out.NewSimulator}
-	case EventEngine:
-		out.NewSimulator = e.NewSimulator
-	case CycleEngine:
-		// compiled path; NewSimulator is unused.
+		out.Engine = &SimulatorEngine{Kernel: hades.KernelTwoLevel, New: hades.NewSimulator}
+	case EventEngine, CycleEngine:
 	default:
 		return out, fmt.Errorf("rtg: Options.Engine %q is neither an EventEngine nor a CycleEngine", e.EngineName())
 	}
@@ -382,7 +372,7 @@ func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Co
 	if el != nil {
 		el.Reset(init)
 	} else {
-		sim := c.opts.NewSimulator()
+		sim := c.opts.Engine.(EventEngine).NewSimulator()
 		clk := sim.NewSignal(cfg.ID+".clk", 1)
 		var err error
 		el, err = netlist.Elaborate(sim, clk, dp, fsm, netlist.Options{
@@ -429,7 +419,7 @@ func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Co
 		FinalState: rr.FinalState,
 		Events:     sim.Stats().Events,
 		Stats:      sim.Stats(),
-		Kernel:     sim.Kernel(),
+		Kernel:     c.opts.Engine.EngineName(),
 		Wall:       wall,
 		Sinks:      map[string][]int64{},
 	}

@@ -323,8 +323,8 @@ func TestEffectiveOptionsExposed(t *testing.T) {
 	if o.ClockPeriod != want.ClockPeriod || o.MaxCycles != want.MaxCycles || o.MaxConfigs != want.MaxConfigs {
 		t.Fatalf("effective options %+v, want the values passed in", o)
 	}
-	if o.Registry == nil || o.NewSimulator == nil {
-		t.Fatal("Registry and NewSimulator must be defaulted")
+	if o.Registry == nil || o.Engine == nil || o.Engine.EngineName() != hades.KernelTwoLevel {
+		t.Fatal("Registry and Engine must be defaulted, Engine to the twolevel kernel")
 	}
 }
 
@@ -354,10 +354,17 @@ func TestAfterConfigStreamsRuns(t *testing.T) {
 	}
 }
 
+// TestNewSimulatorHookSelectsKernel pins the event path's engine seam:
+// configurations run on simulators from the EventEngine's NewSimulator
+// hook, and run records name the engine, as cycle runs do.
 func TestNewSimulatorHookSelectsKernel(t *testing.T) {
 	d := twoPartitionDesign(4)
 	opts := testOptions()
-	opts.NewSimulator = hades.NewHeapRefSimulator
+	built := 0
+	opts.Engine = &SimulatorEngine{Kernel: "counting", New: func() *hades.Simulator {
+		built++
+		return hades.NewSimulator()
+	}}
 	c, err := NewController(d, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -369,9 +376,12 @@ func TestNewSimulatorHookSelectsKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if built != len(res.Runs) {
+		t.Fatalf("hook built %d simulators for %d configurations", built, len(res.Runs))
+	}
 	for _, run := range res.Runs {
-		if run.Kernel != hades.KernelHeapRef {
-			t.Fatalf("run %s on kernel %q, want heapref", run.ID, run.Kernel)
+		if run.Kernel != "counting" {
+			t.Fatalf("run %s on kernel %q, want the engine name", run.ID, run.Kernel)
 		}
 	}
 }

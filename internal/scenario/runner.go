@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"sort"
 
@@ -348,67 +350,60 @@ func policyOK(policy string, injected int, rec *api.TraceCase) bool {
 	}
 }
 
+// The record digests are FNV-1a (hash/fnv) over a framed byte stream:
+// each name ends in a 0 byte, and each run of little-endian words in a
+// 1 byte. Each function drives its own hash, rather than sharing a
+// helper that takes a hash.Hash64, so the Write calls devirtualize and
+// a digest allocates nothing beyond its hex string.
+var (
+	endName  = []byte{0}
+	endWords = []byte{1}
+)
+
 // digestMemories hashes every final shared memory (sorted by name) into
-// a stable 16-hex-digit FNV-1a digest.
+// a stable 16-hex-digit digest.
 func digestMemories(memories map[string][]int64) string {
 	names := make([]string, 0, len(memories))
 	for name := range memories {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	h := newDigest()
+	h := fnv.New64a()
+	var word [8]byte
 	for _, name := range names {
-		h.str(name)
-		h.words(memories[name])
+		h.Write([]byte(name))
+		h.Write(endName)
+		for _, w := range memories[name] {
+			binary.LittleEndian.PutUint64(word[:], uint64(w))
+			h.Write(word[:])
+		}
+		h.Write(endWords)
 	}
-	return h.hex()
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // digestSinks hashes every configuration's recorded sink streams in
 // walk order.
 func digestSinks(runs []rtg.ConfigRun) string {
-	h := newDigest()
+	h := fnv.New64a()
+	var word [8]byte
 	for _, run := range runs {
-		h.str(run.ID)
+		h.Write([]byte(run.ID))
+		h.Write(endName)
 		ids := make([]string, 0, len(run.Sinks))
 		for id := range run.Sinks {
 			ids = append(ids, id)
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
-			h.str(id)
-			h.words(run.Sinks[id])
+			h.Write([]byte(id))
+			h.Write(endName)
+			for _, w := range run.Sinks[id] {
+				binary.LittleEndian.PutUint64(word[:], uint64(w))
+				h.Write(word[:])
+			}
+			h.Write(endWords)
 		}
 	}
-	return h.hex()
+	return fmt.Sprintf("%016x", h.Sum64())
 }
-
-type digest uint64
-
-func newDigest() *digest {
-	d := digest(14695981039346656037)
-	return &d
-}
-
-func (d *digest) byte(b byte) {
-	*d = (*d ^ digest(b)) * 1099511628211
-}
-
-func (d *digest) str(s string) {
-	for i := 0; i < len(s); i++ {
-		d.byte(s[i])
-	}
-	d.byte(0)
-}
-
-func (d *digest) words(ws []int64) {
-	for _, w := range ws {
-		u := uint64(w)
-		for i := 0; i < 8; i++ {
-			d.byte(byte(u >> (8 * i)))
-		}
-	}
-	d.byte(1)
-}
-
-func (d *digest) hex() string { return fmt.Sprintf("%016x", uint64(*d)) }

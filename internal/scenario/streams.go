@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -15,23 +16,12 @@ import (
 // constructs math/rand sources; the seed-discipline test at the repo
 // root enforces that.
 
-// subStream derives the labelled stream from the top-level seed.
+// subStream derives the labelled stream from the top-level seed: the
+// seed mixed with the label's FNV-1a hash.
 func subStream(seed int64, label string) *rand.Rand {
-	return rand.New(rand.NewSource(int64(splitmix64(uint64(seed) ^ fnv64(label)))))
-}
-
-// fnv64 is FNV-1a over the label bytes.
-func fnv64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(label))
+	return rand.New(rand.NewSource(int64(splitmix64(uint64(seed) ^ h.Sum64()))))
 }
 
 // splitmix64 finalizes the seed/label mix so nearby seeds yield

@@ -486,7 +486,7 @@ func TestStatszShape(t *testing.T) {
 // catalog with the server's effective default named, and the /statsz
 // payload carries the same catalog.
 func TestBackendsEndpoint(t *testing.T) {
-	_, client := testServer(t, simd.Config{Backend: "heapref"})
+	_, client := testServer(t, simd.Config{Backend: "compiled"})
 	br, err := client.Backends(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -494,8 +494,8 @@ func TestBackendsEndpoint(t *testing.T) {
 	if br.SchemaVersion != api.SchemaVersion {
 		t.Fatalf("backends schema version = %d", br.SchemaVersion)
 	}
-	if br.Default != "heapref" {
-		t.Fatalf("default backend = %q, want heapref", br.Default)
+	if br.Default != "compiled" {
+		t.Fatalf("default backend = %q, want compiled", br.Default)
 	}
 	byName := map[string]api.BackendInfo{}
 	for _, b := range br.Backends {
@@ -514,7 +514,7 @@ func TestBackendsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Backend != "heapref" || len(st.Backends) != len(br.Backends) {
+	if st.Backend != "compiled" || len(st.Backends) != len(br.Backends) {
 		t.Fatalf("statsz backend catalog: backend=%q backends=%d want %d",
 			st.Backend, len(st.Backends), len(br.Backends))
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -134,6 +135,12 @@ func TestShardedSweepValidation(t *testing.T) {
 	}
 	if code := post(`{"spec":{"name":"x","grid":{"workloads":["nope"],"seed_to":1}},"shard":0}`); code != http.StatusBadRequest {
 		t.Errorf("unknown family: %d, want 400", code)
+	}
+	// A grid over the scenario case cap, however small the shard.
+	big := fmt.Sprintf(`{"spec":{"name":"big","shards":%d,"grid":{"workloads":["hamming,words=8"],"seed_to":%d}},"shard":7}`,
+		scenario.MaxCases+1, scenario.MaxCases+1)
+	if code := post(big); code != http.StatusBadRequest {
+		t.Errorf("grid over the case cap: %d, want 400", code)
 	}
 
 	// Shard index outside the layout.

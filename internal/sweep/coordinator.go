@@ -49,19 +49,11 @@ type Options struct {
 	// hedging move shards between them. Overrides Worker and Workers
 	// for execution.
 	Endpoints []Endpoint
-	// Fallback executes shards when every endpoint's breaker is open —
-	// graceful degradation instead of a failed campaign (default: an
-	// in-process LocalWorker sharing Injector).
-	Fallback Worker
-	// HedgeFactor is the straggler multiple k: a running shard older
-	// than k× the fleet latency EWMA may be speculatively re-dispatched
-	// to another healthy endpoint, first valid shard file wins
-	// (default 3; hedging needs at least two endpoints).
-	HedgeFactor float64
-	// HedgeMin floors the hedge age threshold (default 200ms).
+	// HedgeMin floors the hedge age threshold (default 200ms): a running
+	// shard older than max(HedgeMin, 3× the fleet latency EWMA) may be
+	// speculatively re-dispatched to another healthy endpoint, first
+	// valid shard file wins (hedging needs at least two endpoints).
 	HedgeMin time.Duration
-	// MaxHedges caps concurrent extra attempts per shard (default 1).
-	MaxHedges int
 	// ShardTimeout bounds a single shard attempt; 0 means unbounded.
 	// The safety net for a fleet whose every endpoint accepts work and
 	// hangs — hedging only rescues stragglers while someone completes.

@@ -27,14 +27,21 @@ import (
 //     failures open it, an open endpoint parks instead of taking work,
 //     and after a cooldown a single half-open probe shard decides
 //     whether it closes again.
-//   - A running shard whose age exceeds max(HedgeMin, HedgeFactor ×
+//   - A running shard whose age exceeds max(HedgeMin, hedgeFactor ×
 //     fleet latency EWMA) may be hedged: re-dispatched to a different
-//     healthy endpoint. Hedge attempts write to a side path and the
-//     first valid result is renamed into place, so racing writers
-//     never share a file.
-//   - When every breaker is open, parked loops drain the queue on the
-//     Fallback worker (an in-process LocalWorker by default) — the
-//     campaign degrades to local execution rather than failing.
+//     healthy endpoint, at most maxHedges extra attempts at a time.
+//     Hedge attempts write to a side path and the first valid result
+//     is renamed into place, so racing writers never share a file.
+//   - When every breaker is open, parked loops drain the queue on an
+//     in-process LocalWorker sharing the Injector — the campaign
+//     degrades to local execution rather than failing.
+
+// The hedging policy: the straggler multiple of the fleet latency
+// EWMA, and the extra attempts one shard may have in flight at once.
+const (
+	hedgeFactor = 3
+	maxHedges   = 1
+)
 
 type taskState int
 
@@ -136,10 +143,7 @@ func newDispatcher(ctx context.Context, cancel context.CancelFunc, c *Campaign, 
 		}
 		d.eps = append(d.eps, &epHealth{Endpoint: ep, index: i, state: healthClosed})
 	}
-	d.fallback = opts.Fallback
-	if d.fallback == nil {
-		d.fallback = &LocalWorker{Injector: opts.Injector}
-	}
+	d.fallback = &LocalWorker{Injector: opts.Injector}
 	for _, sh := range queue {
 		d.tasks = append(d.tasks, &task{
 			sh:          sh,
@@ -292,26 +296,15 @@ func (d *dispatcher) allPoisoned(t *task) bool {
 // hedging live even when a blackholed endpoint swallows every shard
 // before anything finishes.
 func (d *dispatcher) hedgeThreshold() time.Duration {
-	factor := d.opts.HedgeFactor
-	if factor <= 0 {
-		factor = 3
-	}
 	min := d.opts.HedgeMin
 	if min <= 0 {
 		min = 200 * time.Millisecond
 	}
-	th := time.Duration(factor * d.fleetEWMA)
+	th := time.Duration(hedgeFactor * d.fleetEWMA)
 	if th < min {
 		th = min
 	}
 	return th
-}
-
-func (d *dispatcher) maxHedges() int {
-	if d.opts.MaxHedges > 0 {
-		return d.opts.MaxHedges
-	}
-	return 1
 }
 
 // hedgeEligible reports whether epIdx could usefully hedge t: the task
@@ -322,7 +315,7 @@ func (d *dispatcher) hedgeEligible(t *task, epIdx int) bool {
 	if t.state != taskRunning || len(t.running) == 0 {
 		return false
 	}
-	if t.hedging >= d.maxHedges() || t.failedOn[epIdx] {
+	if t.hedging >= maxHedges || t.failedOn[epIdx] {
 		return false
 	}
 	for _, a := range t.running {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 
@@ -39,20 +40,9 @@ type ShardInfo struct {
 	Reason string // human detail for non-valid states
 }
 
-// lineDigest accumulates the footer digest: FNV-1a over every case
-// line including its trailing newline, in file order.
-type lineDigest struct{ h uint64 }
-
-func newLineDigest() *lineDigest { return &lineDigest{h: 14695981039346656037} }
-
-func (d *lineDigest) add(line []byte) {
-	for _, b := range line {
-		d.h = (d.h ^ uint64(b)) * 1099511628211
-	}
-	d.h = (d.h ^ uint64('\n')) * 1099511628211
-}
-
-func (d *lineDigest) hex() string { return fmt.Sprintf("%016x", d.h) }
+// The footer digest is FNV-1a (hash/fnv) over every case line
+// including its trailing newline, in file order.
+var newline = []byte{'\n'}
 
 // ExecuteShard runs shard sh of the campaign and streams its shard
 // records to w: the shard header, one trace-case line per case in
@@ -94,7 +84,7 @@ func ExecuteShard(ctx context.Context, c *Campaign, sh Shard, w io.Writer, inj *
 			return executed, ctx.Err()
 		}
 	}
-	digest := newLineDigest()
+	digest := fnv.New64a()
 	killAt := -1
 	if inj.killsShard(sh.Index) {
 		killAt = len(runs) / 2
@@ -116,8 +106,9 @@ func ExecuteShard(ctx context.Context, c *Campaign, sh Shard, w io.Writer, inj *
 		if err != nil {
 			return executed, err
 		}
-		digest.add(line)
-		if _, err := w.Write(append(line, '\n')); err != nil {
+		line = append(line, '\n')
+		digest.Write(line)
+		if _, err := w.Write(line); err != nil {
 			return executed, fmt.Errorf("sweep: write shard %d: %w", sh.Index, err)
 		}
 	}
@@ -126,7 +117,7 @@ func ExecuteShard(ctx context.Context, c *Campaign, sh Shard, w io.Writer, inj *
 		Record:        api.RecordShardResult,
 		Shard:         sh.Index,
 		Cases:         len(runs),
-		Digest:        digest.hex(),
+		Digest:        fmt.Sprintf("%016x", digest.Sum64()),
 	})
 	if err != nil {
 		return executed, err
@@ -229,16 +220,17 @@ func InspectShard(path string, want api.ShardHeader) (ShardInfo, error) {
 		return ShardInfo{}, fmt.Errorf("sweep: shard file %s: %w", path, err)
 	}
 	caseLines := lines[1 : len(lines)-1]
-	digest := newLineDigest()
+	digest := fnv.New64a()
 	for _, line := range caseLines {
-		digest.add(line)
+		digest.Write(line)
+		digest.Write(newline)
 	}
 	if ftr.Shard != want.Shard || ftr.Cases != len(caseLines) || ftr.Cases != want.To-want.From {
 		return torn("footer covers %d cases of shard %d, want %d of shard %d",
 			ftr.Cases, ftr.Shard, want.To-want.From, want.Shard)
 	}
-	if ftr.Digest != digest.hex() {
-		return torn("footer digest %s does not match case lines (%s)", ftr.Digest, digest.hex())
+	if got := fmt.Sprintf("%016x", digest.Sum64()); ftr.Digest != got {
+		return torn("footer digest %s does not match case lines (%s)", ftr.Digest, got)
 	}
 	return ShardInfo{State: StateValid, Cases: ftr.Cases}, nil
 }

@@ -82,6 +82,12 @@ func Load(spec *api.SweepSpec, reg *workloads.Registry) (*Campaign, error) {
 		c.Backend = norm.Scenario.Backend
 	default:
 		g := norm.Grid
+		// The scenario case cap, checked before anything is sized by the
+		// case count (written without the product, which can overflow).
+		if g.Span() > scenario.MaxCases/len(g.Workloads) {
+			return nil, fmt.Errorf("sweep: %s: grid of %d workloads x %d seeds exceeds %d cases",
+				norm.Name, len(g.Workloads), g.Span(), scenario.MaxCases)
+		}
 		c.seedParam = g.SeedParam
 		if c.seedParam == "" {
 			c.seedParam = "seed"
@@ -189,31 +195,29 @@ type Shard struct {
 	To    int // last case index (exclusive)
 }
 
-// Shards returns the campaign's shard layout: Spec.Shards contiguous
-// ranges differing in size by at most one case, in case order.
+// Shards returns the campaign's whole shard layout, in case order.
 func (c *Campaign) Shards() []Shard {
-	n := c.Spec.Shards
-	cases := c.Cases()
-	base, rem := cases/n, cases%n
-	out := make([]Shard, n)
-	from := 0
+	out := make([]Shard, c.Spec.Shards)
 	for i := range out {
-		size := base
-		if i < rem {
-			size++
-		}
-		out[i] = Shard{Index: i, Count: n, From: from, To: from + size}
-		from += size
+		out[i], _ = c.ShardAt(i)
 	}
 	return out
 }
 
-// ShardAt returns shard i of the layout.
+// ShardAt returns shard i of the layout: Spec.Shards contiguous ranges
+// differing in size by at most one case, the larger ones first.
 func (c *Campaign) ShardAt(i int) (Shard, error) {
-	if i < 0 || i >= c.Spec.Shards {
-		return Shard{}, fmt.Errorf("sweep: %s: shard %d outside layout of %d", c.Spec.Name, i, c.Spec.Shards)
+	n := c.Spec.Shards
+	if i < 0 || i >= n {
+		return Shard{}, fmt.Errorf("sweep: %s: shard %d outside layout of %d", c.Spec.Name, i, n)
 	}
-	return c.Shards()[i], nil
+	base, rem := c.Cases()/n, c.Cases()%n
+	from := i*base + min(i, rem)
+	to := from + base
+	if i < rem {
+		to++
+	}
+	return Shard{Index: i, Count: n, From: from, To: to}, nil
 }
 
 // MaterializeRange builds cases [lo, hi) of the campaign's

@@ -197,7 +197,7 @@ func TestCampaignDigestSeparatesLayouts(t *testing.T) {
 	if a.Digest != d.Digest {
 		t.Error("same spec produced different digests")
 	}
-	e := mustLoad(t, &api.SweepSpec{Name: "camp", Shards: 2, Backend: "heapref", Scenario: scenarioSpec(1, 6)})
+	e := mustLoad(t, &api.SweepSpec{Name: "camp", Shards: 2, Backend: "compiled", Scenario: scenarioSpec(1, 6)})
 	if a.Digest == e.Digest {
 		t.Error("different backends share a campaign digest")
 	}
@@ -213,6 +213,36 @@ func TestResumeRefusesForeignOutDir(t *testing.T) {
 	}
 }
 
+// gridSpec is a hamming grid of the given case count and shard layout.
+func gridSpec(cases, shards int) *api.SweepSpec {
+	return &api.SweepSpec{Name: "grid", Shards: shards,
+		Grid: &api.GridSpec{Workloads: []string{"hamming,words=8"}, SeedTo: cases}}
+}
+
+// TestShardAtAllocatesNothing: one shard's range is arithmetic, not a
+// slice of the whole layout, even on the largest layout Load accepts.
+func TestShardAtAllocatesNothing(t *testing.T) {
+	c := mustLoad(t, gridSpec(scenario.MaxCases, scenario.MaxCases))
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := c.ShardAt(77_777); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("ShardAt allocates %v objects per call, want 0", avg)
+	}
+	// 1000 cases over 7 shards: six of 143, then one of 142.
+	c = mustLoad(t, gridSpec(1000, 7))
+	for i, want := range map[int]sweep.Shard{
+		0: {Index: 0, Count: 7, From: 0, To: 143},
+		5: {Index: 5, Count: 7, From: 715, To: 858},
+		6: {Index: 6, Count: 7, From: 858, To: 1000},
+	} {
+		if got, err := c.ShardAt(i); err != nil || got != want {
+			t.Fatalf("ShardAt(%d) = %+v, %v; want %+v", i, got, err, want)
+		}
+	}
+}
+
 func TestGridLoadRejections(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -220,8 +250,9 @@ func TestGridLoadRejections(t *testing.T) {
 	}{
 		{"unknown family", &api.SweepSpec{Name: "x", Grid: &api.GridSpec{Workloads: []string{"nope"}, SeedTo: 1}}},
 		{"pinned seed param", &api.SweepSpec{Name: "x", Grid: &api.GridSpec{Workloads: []string{"hamming,seed=3"}, SeedTo: 1}}},
-		{"seed outside schema", &api.SweepSpec{Name: "x", Grid: &api.GridSpec{Workloads: []string{"hamming"}, SeedFrom: 0, SeedTo: 1 << 31}}},
+		{"seed outside schema", &api.SweepSpec{Name: "x", Grid: &api.GridSpec{Workloads: []string{"hamming"}, SeedFrom: 1<<30 - 5, SeedTo: 1<<30 + 5}}},
 		{"unknown backend", &api.SweepSpec{Name: "x", Backend: "warp", Grid: &api.GridSpec{Workloads: []string{"hamming"}, SeedTo: 1}}},
+		{"over the case cap", gridSpec(scenario.MaxCases+1, 0)},
 	} {
 		if _, err := sweep.Load(tc.spec, nil); err == nil {
 			t.Errorf("%s: Load accepted bad spec", tc.name)

@@ -46,7 +46,7 @@ func TestPublicAPI(t *testing.T) {
 	if names := repro.BackendNames(); names[0] != repro.DefaultBackend {
 		t.Fatalf("BackendNames()=%v", names)
 	}
-	if _, err := repro.LookupBackend("heapref"); err != nil {
+	if _, err := repro.LookupBackend("compiled"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := repro.New(repro.WithBackend("bogus")); err == nil {
