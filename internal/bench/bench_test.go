@@ -287,40 +287,60 @@ func TestReplayBeatsFreshReconfiguration(t *testing.T) {
 // pinned gang scenarios, the compiled backend's lockstep
 // struct-of-arrays evaluation must deliver at least 1.5x the
 // configs/sec of the event backend's sequential lane-by-lane replay of
-// the same 32-lane population. The ratio reads about 2-4x on a 2-vCPU
-// x86-64 host (lowest of ten runs: 1.98x on gang-newton, 2.15x on
-// gang-erasure), so 1.5x leaves room for a loaded host; the compiled
-// gang's own floors are the bench/baseline/compiled gang scenarios.
+// the same 32-lane population. The gang rounds are short (about 10-60
+// ms), so a round's wall time swings by a third with the load other
+// processes put on the host. After one untimed warm-up round each, the
+// two backends' timed rounds therefore alternate, ten of each, and each
+// backend keeps its best: a load that starts or stops mid-test falls on
+// both sides instead of on whichever backend is timed second. Measured
+// that way during twenty full `go test ./...` runs on a 2-vCPU x86-64
+// host, the ratio read 2.6-3.5x on gang-newton and 1.75-3.0x on
+// gang-erasure; the compiled gang's own floors are the
+// bench/baseline/compiled gang scenarios.
 func TestCompiledGangBeatsSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	backends := []string{"compiled", "twolevel"}
 	for _, name := range []string{"gang-newton", "gang-erasure"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			perBackend := map[string]*Result{}
-			for _, backend := range []string{"compiled", "twolevel"} {
+			runs := make([]RunFunc, len(backends))
+			for i, backend := range backends {
 				scs, err := Select(name, ScenariosFor(backend))
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Run(scs[0], 3)
-				if err != nil {
+				if runs[i], err = scs[0].Prepare(); err != nil {
 					t.Fatal(err)
 				}
-				if res.Configs == 0 || res.ConfigsPerSec <= 0 {
-					t.Fatalf("%s@%s: no configuration metrics: %+v", name, backend, res)
+				// Untimed warm-up: the first round sizes lane state and pools.
+				if _, err := runs[i](); err != nil {
+					t.Fatal(err)
 				}
-				perBackend[backend] = res
 			}
-			lockstep, sequential := perBackend["compiled"], perBackend["twolevel"]
-			if lockstep.Configs != sequential.Configs {
+			configs := make([]uint64, len(backends))
+			best := make([]float64, len(backends))
+			for round := 0; round < 10; round++ {
+				for i, run := range runs {
+					m, err := run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m.Configs == 0 || m.Wall <= 0 {
+						t.Fatalf("%s@%s: no configuration metrics: %+v", name, backends[i], m)
+					}
+					configs[i] = m.Configs
+					best[i] = max(best[i], float64(m.Configs)/m.Wall.Seconds())
+				}
+			}
+			if configs[0] != configs[1] {
 				t.Fatalf("gang population diverged: compiled ran %d configs, twolevel %d",
-					lockstep.Configs, sequential.Configs)
+					configs[0], configs[1])
 			}
-			if ratio := lockstep.ConfigsPerSec / sequential.ConfigsPerSec; ratio < 1.5 {
+			if ratio := best[0] / best[1]; ratio < 1.5 {
 				t.Fatalf("compiled gang %.0f configs/sec vs sequential %.0f: %.2fx, want >= 1.5x",
-					lockstep.ConfigsPerSec, sequential.ConfigsPerSec, ratio)
+					best[0], best[1], ratio)
 			}
 		})
 	}

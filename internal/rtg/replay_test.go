@@ -120,60 +120,62 @@ func sameRuns(t *testing.T, label string, a, b *ExecResult) {
 // every configuration from scratch.
 func TestReplayMatchesFreshElaboration(t *testing.T) {
 	const n = 8
-	mkOpts := func(disable bool) Options {
-		o := testOptions()
-		o.DisableReplay = disable
-		o.LocalInit = map[string]map[string][]int64{
-			"cfg3": {"s_in": propInputs(99, 16)},
+	t.Run(hades.KernelTwoLevel, func(t *testing.T) {
+		mkOpts := func(disable bool) Options {
+			o := testOptions()
+			o.DisableReplay = disable
+			o.LocalInit = map[string]map[string][]int64{
+				"cfg3": {"s_in": propInputs(99, 16)},
+			}
+			return o
 		}
-		return o
-	}
-	freshCtl, err := NewController(replayPropertyDesign(n), mkOpts(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayCtl, err := NewController(replayPropertyDesign(n), mkOpts(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 4; round++ {
-		in := propInputs(round, n)
-		var results [2]*ExecResult
-		for i, ctl := range []*Controller{freshCtl, replayCtl} {
-			if err := ctl.LoadMemory("ma", in); err != nil {
-				t.Fatal(err)
-			}
-			res, err := ctl.Execute()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Completed || len(res.Runs) != 3 {
-				t.Fatalf("round %d ctl %d: %+v", round, i, res)
-			}
-			results[i] = res
+		freshCtl, err := NewController(replayPropertyDesign(n), mkOpts(true))
+		if err != nil {
+			t.Fatal(err)
 		}
-		sameRuns(t, "replay", results[0], results[1])
-		for _, id := range []string{"ma", "mb", "mc"} {
-			a, _ := freshCtl.Memory(id)
-			b, _ := replayCtl.Memory(id)
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("round %d: memory %s[%d]=%d vs %d", round, id, j, a[j], b[j])
+		replayCtl, err := NewController(replayPropertyDesign(n), mkOpts(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 4; round++ {
+			in := propInputs(round, n)
+			var results [2]*ExecResult
+			for i, ctl := range []*Controller{freshCtl, replayCtl} {
+				if err := ctl.LoadMemory("ma", in); err != nil {
+					t.Fatal(err)
+				}
+				res, err := ctl.Execute()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Completed || len(res.Runs) != 3 {
+					t.Fatalf("round %d ctl %d: %+v", round, i, res)
+				}
+				results[i] = res
+			}
+			sameRuns(t, "replay", results[0], results[1])
+			for _, id := range []string{"ma", "mb", "mc"} {
+				a, _ := freshCtl.Memory(id)
+				b, _ := replayCtl.Memory(id)
+				for j := range a {
+					if a[j] != b[j] {
+						t.Fatalf("round %d: memory %s[%d]=%d vs %d", round, id, j, a[j], b[j])
+					}
+				}
+			}
+			// The arms must actually be doing what their names say.
+			for _, run := range results[0].Runs {
+				if run.Stats.Elaborations != 1 || run.Stats.Resets != 0 {
+					t.Fatalf("fresh arm replayed: %+v", run.Stats)
+				}
+			}
+			for _, run := range results[1].Runs {
+				if run.Stats.Elaborations != 1 || run.Stats.Resets != uint64(round) {
+					t.Fatalf("round %d: replay arm lifetime counters %+v", round, run.Stats)
 				}
 			}
 		}
-		// The arms must actually be doing what their names say.
-		for _, run := range results[0].Runs {
-			if run.Stats.Elaborations != 1 || run.Stats.Resets != 0 {
-				t.Fatalf("fresh arm replayed: %+v", run.Stats)
-			}
-		}
-		for _, run := range results[1].Runs {
-			if run.Stats.Elaborations != 1 || run.Stats.Resets != uint64(round) {
-				t.Fatalf("round %d: replay arm lifetime counters %+v", round, run.Stats)
-			}
-		}
-	}
+	})
 }
 
 // TestSeedsAreCopiedNotAliased is the regression test for the
