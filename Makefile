@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test fuzz quickstart simd smoke scenario-smoke sweep-smoke sweep-chaos race bench bench-update bench-go cover lint linkcheck fmt fmt-check vet ci
+.PHONY: build test fuzz flake quickstart simd smoke scenario-smoke sweep-smoke sweep-chaos race bench bench-update bench-go cover lint linkcheck fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -14,12 +14,24 @@ test:
 
 # fuzz mirrors the CI fuzz steps: fuzzed lane seeds (extreme words
 # included) on 1-8 gang lanes must match each lane's one-lane compiled
-# run, and fuzzed listener graphs on the event kernel must match the
-# seed reference kernel. The checked-in corpora (internal/flow/ and
-# internal/hades/testdata/fuzz/) also run as part of `make test`.
+# run, fuzzed listener graphs on the event kernel must match the seed
+# reference kernel, and fuzzed MiniJ source must parse, analyze and
+# compile to an error or a design, never a panic. The checked-in
+# corpora (internal/flow/, internal/hades/testdata/fuzz/ and
+# internal/compiler/testdata/fuzz/) also run as part of `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGangLaneMatchesSingleLane$$' -fuzztime 20s ./internal/flow/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelMatchesSeedReference$$' -fuzztime 20s ./internal/hades/
+	$(GO) test -run '^$$' -fuzz '^FuzzFrontEnd$$' -fuzztime 20s ./internal/compiler/
+
+# flake mirrors the CI flake step: the timing- and scheduling-sensitive
+# tests, 20 runs each, so a new flake shows before it lands. The chaos
+# matrix runs as a whole test because its requeue check spans all four
+# slot counts.
+flake:
+	$(GO) test -count=20 -cpu 1,4 -run '^TestChaosMatrixFleet$$' ./internal/sweep/
+	$(GO) test -count=20 -run '^TestTableIShape$$' .
+	$(GO) test -count=20 -run '^TestCompiledGangBeatsSequential$$' ./internal/bench/
 
 # quickstart builds and runs the documented public-API entry point
 # (examples/quickstart on the root repro package), so the README's
@@ -125,4 +137,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check lint test fuzz quickstart smoke scenario-smoke sweep-smoke sweep-chaos race cover bench
+ci: build vet fmt-check lint test fuzz flake quickstart smoke scenario-smoke sweep-smoke sweep-chaos race cover bench

@@ -5,14 +5,18 @@
 //
 // Endpoints (see docs/SERVER.md for the protocol tour):
 //
-//	POST /v1/verify   one verified round per requested round
-//	POST /v1/sweep    N verified reset-and-replay rounds
-//	POST /v1/bench    N unverified rounds, for throughput
-//	GET  /statsz      admission, pool and throughput counters
-//	GET  /healthz     liveness
+//	POST /v1/verify         one verified round per requested round
+//	POST /v1/sweep          N verified reset-and-replay rounds
+//	POST /v1/bench          N unverified rounds, for throughput
+//	POST /v1/sweep/sharded  one shard of a sharded campaign
+//	GET  /v1/backends       simulator-backend catalog and default
+//	GET  /statsz            admission, pool and throughput counters
+//	GET  /healthz           liveness
 //
 // Run endpoints take an api.Request JSON body and stream NDJSON
-// api.RunRecord lines; overload answers 429 with a Retry-After header.
+// api.RunRecord lines; /v1/sweep/sharded takes an api.SweepRequest and
+// streams that shard's records (a whole scenario is a one-shard
+// sweep). Overload answers 429 with a Retry-After header.
 // SIGINT/SIGTERM drain gracefully: in-flight streams finish, new
 // requests are refused.
 //

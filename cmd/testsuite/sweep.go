@@ -173,8 +173,7 @@ func sweepRun(args []string) error {
 		// Each server is its own endpoint: independently health-tracked,
 		// quarantined and hedged against, with -shard-workers concurrent
 		// shards apiece.
-		fleet := &simd.ShardWorker{Clients: clients}
-		opts.Endpoints = fleet.Endpoints(*workers)
+		opts.Endpoints = simd.Endpoints(clients, *workers)
 	case *subprocess:
 		self, err := os.Executable()
 		if err != nil {

@@ -8,10 +8,11 @@ import (
 
 // This file defines the scenario-engine wire shapes: the declarative
 // scenario spec consumed by `testsuite -scenario`, `hsim -scenario` and
-// POST /v1/scenario, and the JSONL trace records the scenario runner
-// emits. Trace records deliberately carry no wall-clock fields — two
-// same-seed runs of the same spec produce byte-identical traces, which
-// is what makes record/replay/counterfactual possible.
+// (embedded in a sweep spec) POST /v1/sweep/sharded, and the JSONL
+// trace records the scenario runner emits. Trace records deliberately
+// carry no wall-clock fields — two same-seed runs of the same spec
+// produce byte-identical traces, which is what makes
+// record/replay/counterfactual possible.
 
 // Dist is one parameter distribution of a scenario spec. Exactly one of
 // the three shapes is set: a constant (JSON: a bare number or

@@ -185,6 +185,9 @@ func TestParseErrors(t *testing.T) {
 		{"void f() { x = 1 }", "expected ;"},
 		{"void f() {", "unterminated block"},
 		{"int f() {}", "expected void"},
+		{"void f() { for (", "expected identifier, found end of file"},
+		{"void f() { for (i = 0; i < 4; ", "expected identifier, found end of file"},
+		{"void f() { for (5 = 0;;) {} }", "expected identifier"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

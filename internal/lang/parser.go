@@ -29,8 +29,17 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *Parser) cur() Token { return p.toks[p.pos] }
+
+// next consumes the current token; at EOF it stays put, so truncated
+// input reaches an "expected …, found end of file" error.
+func (p *Parser) next() Token {
+	t := p.toks[p.pos]
+	if t.Kind != TokEOF {
+		p.pos++
+	}
+	return t
+}
 
 func (p *Parser) expect(kind TokenKind) (Token, error) {
 	t := p.cur()
@@ -180,7 +189,10 @@ func (p *Parser) parseDecl() (Stmt, error) {
 }
 
 func (p *Parser) parseAssignOrStore() (Stmt, error) {
-	name := p.next()
+	name, err := p.expect(TokIdent)
+	if err != nil {
+		return nil, err
+	}
 	switch p.cur().Kind {
 	case TokAssign:
 		p.next()

@@ -71,9 +71,6 @@ type Config struct {
 	Backend string
 	// MaxRounds caps rounds per request (default 4096).
 	MaxRounds int
-	// MaxScenarioCases caps the case count of a posted scenario spec
-	// (default 1024).
-	MaxScenarioCases int
 	// MaxShardCases caps the case range of one posted sweep shard
 	// (default 4096). Campaigns bigger than that submit more shards, not
 	// bigger ones.
@@ -105,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRounds < 1 {
 		c.MaxRounds = 4096
-	}
-	if c.MaxScenarioCases < 1 {
-		c.MaxScenarioCases = 1024
 	}
 	if c.MaxShardCases < 1 {
 		c.MaxShardCases = 4096
@@ -160,7 +154,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc(PathVerify, s.handleRun(api.KindVerify))
 	s.mux.HandleFunc(PathSweep, s.handleRun(api.KindSweep))
 	s.mux.HandleFunc(PathBench, s.handleRun(api.KindBench))
-	s.mux.HandleFunc(PathScenario, s.handleScenario)
 	s.mux.HandleFunc(PathShardedSweep, s.handleShardedSweep)
 	s.mux.HandleFunc(PathBackends, s.handleBackends)
 	s.mux.HandleFunc(PathStats, s.handleStats)
@@ -169,14 +162,14 @@ func New(cfg Config) *Server {
 }
 
 // The server's routes. Each run endpoint accepts a POSTed api.Request
-// and fixes its Kind; /v1/scenario accepts a POSTed api.ScenarioSpec
-// and streams its trace records; /v1/backends returns an
+// and fixes its Kind; /v1/sweep/sharded accepts a POSTed
+// api.SweepRequest and streams one shard's records (a whole scenario
+// is a one-shard sweep); /v1/backends returns an
 // api.BackendsResponse; /statsz returns an api.ServerStats object.
 const (
 	PathVerify       = "/v1/verify"
 	PathSweep        = "/v1/sweep"
 	PathBench        = "/v1/bench"
-	PathScenario     = "/v1/scenario"
 	PathShardedSweep = "/v1/sweep/sharded"
 	PathBackends     = "/v1/backends"
 	PathStats        = "/statsz"

@@ -129,14 +129,11 @@ func (c *Client) ShardedSweep(ctx context.Context, req api.SweepRequest, w io.Wr
 	return nil
 }
 
-// ShardWorker executes sweep shards on remote simd servers — the
-// coordinator's fan-out-to-the-fleet worker. Shards round-robin across
-// the clients by shard index, so a multi-server campaign splits evenly
-// without coordination. An interrupted stream leaves a torn shard file
-// for the coordinator's retry/resume machinery, identical to a crashed
-// local worker.
+// ShardWorker executes sweep shards on one remote simd server. An
+// interrupted stream leaves a torn shard file for the coordinator's
+// retry/resume machinery, identical to a crashed local worker.
 type ShardWorker struct {
-	Clients []*Client
+	Client *Client
 }
 
 // Name implements sweep.Worker.
@@ -150,16 +147,12 @@ func (sw *ShardWorker) Name() string { return "remote" }
 // fault and requeue for a different server without charging the
 // shard's retry budget.
 func (sw *ShardWorker) RunShard(ctx context.Context, c *sweep.Campaign, sh sweep.Shard, path string) error {
-	if len(sw.Clients) == 0 {
-		return fmt.Errorf("simd: shard worker has no servers")
-	}
-	cl := sw.Clients[sh.Index%len(sw.Clients)]
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	req := api.SweepRequest{Spec: *c.Spec, Shard: sh.Index}
-	err = cl.ShardedSweep(ctx, req, f)
+	err = sw.Client.ShardedSweep(ctx, req, f)
 	cerr := f.Close()
 	if err != nil {
 		return classifyRemoteError(err)
@@ -187,19 +180,32 @@ func classifyRemoteError(err error) error {
 	return sweep.EndpointFault(err)
 }
 
-// Endpoints splits the worker into one independently health-tracked
-// endpoint per server, each admitting slots concurrent shards — the
+// Endpoints gives each server its own ShardWorker as an independently
+// health-tracked endpoint admitting slots concurrent shards — the
 // fleet form the dispatch layer's circuit breakers and hedging want.
-// A single multi-client ShardWorker used directly still works, but is
-// tracked (and quarantined) as one unit.
-func (sw *ShardWorker) Endpoints(slots int) []sweep.Endpoint {
-	eps := make([]sweep.Endpoint, len(sw.Clients))
-	for i, cl := range sw.Clients {
+func Endpoints(clients []*Client, slots int) []sweep.Endpoint {
+	eps := make([]sweep.Endpoint, len(clients))
+	for i, cl := range clients {
 		eps[i] = sweep.Endpoint{
-			Worker: &ShardWorker{Clients: []*Client{cl}},
+			Worker: &ShardWorker{Client: cl},
 			Name:   fmt.Sprintf("remote[%d] %s", i, cl.BaseURL()),
 			Slots:  slots,
 		}
 	}
 	return eps
+}
+
+// flushWriter flushes the HTTP response after every write so each
+// shard record reaches the client as it is produced.
+type flushWriter struct {
+	w http.ResponseWriter
+	f http.Flusher
+}
+
+func (fw flushWriter) Write(p []byte) (int, error) {
+	n, err := fw.w.Write(p)
+	if fw.f != nil {
+		fw.f.Flush()
+	}
+	return n, err
 }

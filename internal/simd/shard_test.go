@@ -69,45 +69,80 @@ func TestShardedSweepEndpointStreamsShard(t *testing.T) {
 	}
 }
 
-// TestRemoteWorkerCampaign runs the whole coordinator against remote
-// simd workers and pins the merged bytes to the single-process run —
+// TestRemoteWorkerCampaign runs the whole coordinator against a remote
+// simd worker and pins the merged bytes to the single-process run —
 // the distributed path meets the same determinism bar as the local
-// ones.
+// ones. The erasure input is a must-recover fault campaign judged by
+// the MDS oracle: recorded by the service, it must inject and recover
+// faults and replay locally with no diff.
 func TestRemoteWorkerCampaign(t *testing.T) {
 	_, client := testServer(t, simd.Config{Workers: 2})
-	spec := shardScenarioSpec(6, 6)
-	sc, err := scenario.Load(spec, nil)
+	erasure, ok := scenario.ExampleSpec("erasure-recover.json")
+	if !ok {
+		t.Fatal("no embedded erasure-recover spec")
+	}
+	erasureSpec, err := api.DecodeScenarioSpec(bytes.NewReader(erasure))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if _, err := sc.Run(context.Background(), scenario.Options{}, &want); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		spec   *api.ScenarioSpec
+		faults bool
+	}{
+		{"hamming", shardScenarioSpec(6, 6), false},
+		{"erasure-recover", erasureSpec, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := scenario.Load(tc.spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if _, err := sc.Run(context.Background(), scenario.Options{}, &want); err != nil {
+				t.Fatal(err)
+			}
 
-	c, err := sweep.Load(sweep.WrapScenario(spec, 3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sweep.Run(context.Background(), c, sweep.Options{
-		Workers: 2,
-		OutDir:  t.TempDir(),
-		Worker:  &simd.ShardWorker{Clients: []*simd.Client{client}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(res.Out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatal("remote-worker campaign differs from single-process run")
-	}
-	for _, st := range res.Shards {
-		if st.Worker != "remote" {
-			t.Errorf("shard %d worker tag %q, want remote", st.Shard, st.Worker)
-		}
+			c, err := sweep.Load(sweep.WrapScenario(tc.spec, 3), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sweep.Run(context.Background(), c, sweep.Options{
+				Workers: 2,
+				OutDir:  t.TempDir(),
+				Worker:  &simd.ShardWorker{Client: client},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(res.Out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatal("remote-worker campaign differs from single-process run")
+			}
+			for _, st := range res.Shards {
+				if st.Worker != "remote" {
+					t.Errorf("shard %d worker tag %q, want remote", st.Shard, st.Worker)
+				}
+			}
+
+			tr, err := scenario.ReadTrace(bytes.NewReader(got))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.faults && (tr.Summary.FaultsInjected == 0 || tr.Summary.Recovered == 0) {
+				t.Fatalf("fault campaign injected or recovered nothing: %+v", tr.Summary)
+			}
+			rep, err := scenario.Replay(context.Background(), tr, scenario.Options{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diffs := scenario.CompareTraces(tr.Cases, rep.Cases, true); len(diffs) != 0 {
+				t.Fatalf("local replay diverged from the remote trace: %v", diffs)
+			}
+		})
 	}
 }
 
@@ -127,14 +162,28 @@ func TestShardedSweepValidation(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	if code := post(`{`); code != http.StatusBadRequest {
-		t.Errorf("malformed body: %d, want 400", code)
+	// A two-case scenario fits the cap; each 400 row breaks one thing.
+	scen := func(req, spec, mix string) string {
+		return fmt.Sprintf(`{%s"spec":{"name":"s","scenario":{"name":"s",%s"cases":2,"mix":[%s]}},"shard":0}`,
+			req, spec, mix)
 	}
-	if code := post(`{"spec":{"name":"x"},"shard":0}`); code != http.StatusBadRequest {
-		t.Errorf("modeless spec: %d, want 400", code)
-	}
-	if code := post(`{"spec":{"name":"x","grid":{"workloads":["nope"],"seed_to":1}},"shard":0}`); code != http.StatusBadRequest {
-		t.Errorf("unknown family: %d, want 400", code)
+	hamming := `{"family":"hamming","weight":1,"params":{"words":8}}`
+	for _, row := range []struct {
+		what, body string
+		want       int
+	}{
+		{"valid scenario", scen("", "", hamming), http.StatusOK},
+		{"malformed body", `{`, http.StatusBadRequest},
+		{"modeless spec", `{"spec":{"name":"x"},"shard":0}`, http.StatusBadRequest},
+		{"unknown family", `{"spec":{"name":"x","grid":{"workloads":["nope"],"seed_to":1}},"shard":0}`, http.StatusBadRequest},
+		{"unknown scenario backend", scen("", `"backend":"no-such-backend",`, hamming), http.StatusBadRequest},
+		{"empty scenario mix", scen("", "", ""), http.StatusBadRequest},
+		{"request schema_version 99", scen(`"schema_version":99,`, "", hamming), http.StatusBadRequest},
+		{"scenario schema_version 99", scen("", `"schema_version":99,`, hamming), http.StatusBadRequest},
+	} {
+		if code := post(row.body); code != row.want {
+			t.Errorf("%s: %d, want %d", row.what, code, row.want)
+		}
 	}
 	// A grid over the scenario case cap, however small the shard.
 	big := fmt.Sprintf(`{"spec":{"name":"big","shards":%d,"grid":{"workloads":["hamming,words=8"],"seed_to":%d}},"shard":7}`,
@@ -186,7 +235,7 @@ func TestRemoteErrorClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	w := &simd.ShardWorker{Clients: []*simd.Client{capped}}
+	w := &simd.ShardWorker{Client: capped}
 	err = w.RunShard(context.Background(), c, c.Shards()[0], sweep.ShardPath(dir, 0))
 	if !sweep.IsPermanent(err) {
 		t.Errorf("HTTP 400 classified %v, want permanent", err)
@@ -200,7 +249,7 @@ func TestRemoteErrorClassification(t *testing.T) {
 	}
 
 	// A connection nobody answers is the endpoint's problem.
-	dead := &simd.ShardWorker{Clients: []*simd.Client{simd.NewClient("http://127.0.0.1:1", nil)}}
+	dead := &simd.ShardWorker{Client: simd.NewClient("http://127.0.0.1:1", nil)}
 	err = dead.RunShard(context.Background(), c, c.Shards()[0], sweep.ShardPath(dir, 0))
 	if !sweep.IsEndpointFault(err) {
 		t.Errorf("refused connection classified %v, want endpoint fault", err)
@@ -249,11 +298,11 @@ func TestFleetRoutesAroundDeadRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := &simd.ShardWorker{Clients: []*simd.Client{live, simd.NewClient("http://127.0.0.1:1", nil)}}
+	fleet := []*simd.Client{live, simd.NewClient("http://127.0.0.1:1", nil)}
 	res, err := sweep.Run(context.Background(), c, sweep.Options{
 		OutDir:          t.TempDir(),
 		MaxFailures:     1,
-		Endpoints:       fleet.Endpoints(1),
+		Endpoints:       simd.Endpoints(fleet, 1),
 		BreakerCooldown: 10 * time.Second,
 	})
 	if err != nil {

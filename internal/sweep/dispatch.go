@@ -22,7 +22,7 @@ import (
 //     queue. A loop prefers shards whose home endpoint it is (index
 //     round-robin, which preserves the legacy placement and the chaos
 //     suite's pinned schedules) and otherwise steals the oldest ready
-//     shard.
+//     shard whose home endpoint has made its first take.
 //   - Each endpoint carries a circuit breaker (epHealth): consecutive
 //     failures open it, an open endpoint parks instead of taking work,
 //     and after a cooldown a single half-open probe shard decides
@@ -259,11 +259,18 @@ func (d *dispatcher) execute(at *attempt) error {
 // takePending returns the next ready pending task for this endpoint:
 // home-affinity shards in FIFO order first (preserving the legacy
 // schedule on a single endpoint), then the oldest stealable shard. A
-// task poisoned against this endpoint (it already failed there) is
-// skipped until every endpoint is poisoned — at which point the blame
-// is the shard's and anyone may retry it. The fallback path ignores
-// poisoning: it is the route of last resort.
+// shard is stealable only once its home endpoint has made its first
+// take, so the first endpoint scheduled at start-up cannot drain every
+// other endpoint's queue; that first take broadcasts so parked slots
+// look again. A task poisoned against this endpoint (it already failed
+// there) is skipped until every endpoint is poisoned — at which point
+// the blame is the shard's and anyone may retry it. The fallback path
+// ignores poisoning: it is the route of last resort.
 func (d *dispatcher) takePending(epIdx int, now time.Time, viaFallback bool) *task {
+	if ep := d.eps[epIdx]; !ep.started {
+		ep.started = true
+		d.cond.Broadcast()
+	}
 	var steal *task
 	for _, t := range d.tasks {
 		if t.state != taskPending || t.notBefore.After(now) {
@@ -278,7 +285,7 @@ func (d *dispatcher) takePending(epIdx int, now time.Time, viaFallback bool) *ta
 		if t.home == epIdx {
 			return t
 		}
-		if steal == nil {
+		if steal == nil && d.eps[t.home].started {
 			steal = t
 		}
 	}

@@ -47,6 +47,7 @@ type epHealth struct {
 	ewmaNS      float64
 	openUntil   time.Time
 	probing     bool // a half-open probe shard is in flight
+	started     bool // made its first take; its home shards may be stolen
 }
 
 // charge records a failed attempt: consecutive failures reaching the

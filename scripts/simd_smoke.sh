@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Smoke-test the simd server end to end, the way CI does: build it,
 # serve on a local port, drive a verify and a pooled sweep with curl,
+# run a scenario remotely as a one-shard sweep and replay it locally,
 # assert the NDJSON and /statsz shapes, then check SIGTERM drains to a
 # clean exit. Run via `make smoke`.
 set -eu
@@ -43,19 +44,21 @@ echo "$SWEEP" | grep -q '"rounds":4'
 echo "$SWEEP" | grep -q '"elaborations":'
 [ "$(echo "$SWEEP" | grep -c '"record":"config"')" -ge 4 ]
 
-echo "== scenario: NDJSON trace stream that replays bit-identically =="
-SCEN=$(curl -fsS "$BASE/v1/scenario" --data-binary @examples/scenarios/mixed-poisson.json)
-echo "$SCEN" | head -1
-echo "$SCEN" | tail -1
-echo "$SCEN" | grep -q '"record":"scenario"'
-echo "$SCEN" | grep -q '"record":"case"'
-echo "$SCEN" | grep -q '"record":"scenario_summary"'
-echo "$SCEN" | grep -q '"ok":true'
-echo "$SCEN" > "$WORKDIR/trace.jsonl"
-go run ./cmd/testsuite -replay "$WORKDIR/trace.jsonl" | grep -q "replay matches the recorded trace"
-echo "replayed $(grep -c '"record":"case"' "$WORKDIR/trace.jsonl") recorded cases bit-identically"
-# a malformed spec is a clean 400, not a broken stream
-CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/scenario" -d '{"name":"bad","cases":1,"mix":[]}')
+echo "== campaign: a remote one-shard sweep that replays bit-identically =="
+go build -o "$WORKDIR/testsuite" ./cmd/testsuite
+"$WORKDIR/testsuite" sweep run -scenario examples/scenarios/mixed-poisson.json \
+    -shards 1 -remote "$BASE" -out "$WORKDIR/trace.jsonl" -q
+head -1 "$WORKDIR/trace.jsonl"
+tail -1 "$WORKDIR/trace.jsonl"
+grep -q '"record":"scenario"' "$WORKDIR/trace.jsonl"
+grep -q '"record":"case"' "$WORKDIR/trace.jsonl"
+grep -q '"record":"scenario_summary"' "$WORKDIR/trace.jsonl"
+grep -q '"ok":true' "$WORKDIR/trace.jsonl"
+"$WORKDIR/testsuite" -replay "$WORKDIR/trace.jsonl" | grep -q "replay matches the recorded trace"
+echo "replayed $(grep -c '"record":"case"' "$WORKDIR/trace.jsonl") remotely recorded cases bit-identically"
+# a malformed scenario is a clean 400, not a broken stream
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/sweep/sharded" \
+    -d '{"spec":{"name":"bad","scenario":{"name":"bad","cases":1,"mix":[]}},"shard":0}')
 [ "$CODE" = 400 ] || { echo "scenario validation: HTTP $CODE, want 400" >&2; exit 1; }
 
 echo "== sharded sweep: one shard job streamed as shard records =="
