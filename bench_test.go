@@ -57,14 +57,18 @@ func runTableIRow(b *testing.B, tc core.TestCase) {
 		}
 		last = res
 	}
+	loc, err := last.Compiled.LoC()
+	if err != nil {
+		b.Fatal(err)
+	}
 	ops, cycles := 0, uint64(0)
 	dpLoC, fsmLoC, javaLoC := 0, 0, 0
-	for _, p := range last.Partitions {
+	for i, p := range last.Partitions {
 		ops += p.Operators
 		cycles += p.Cycles
-		dpLoC += p.XMLDatapathLoC
-		fsmLoC += p.XMLFSMLoC
-		javaLoC += p.JavaFSMLoC
+		dpLoC += loc[i].XMLDatapathLoC
+		fsmLoC += loc[i].XMLFSMLoC
+		javaLoC += loc[i].JavaFSMLoC
 	}
 	b.ReportMetric(float64(ops), "operators")
 	b.ReportMetric(float64(cycles), "cycles")

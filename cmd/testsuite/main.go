@@ -138,6 +138,10 @@ func runTable1(suite *core.Suite, runner *core.Runner, pixels, words int, opts c
 		if !res.Passed {
 			return fmt.Errorf("%s: verification FAILED: %v", res.Name, res.Failed())
 		}
+		loc, err := res.Compiled.LoC()
+		if err != nil {
+			return err
+		}
 		for i, p := range res.Partitions {
 			label := res.Name
 			if len(res.Partitions) > 1 {
@@ -148,7 +152,7 @@ func runTable1(suite *core.Suite, runner *core.Runner, pixels, words int, opts c
 				loJava = fmt.Sprint(res.SourceLoC)
 			}
 			fmt.Printf("%-10s %7s %9d %11d %8d %10d %12v\n",
-				label, loJava, p.XMLFSMLoC, p.XMLDatapathLoC, p.JavaFSMLoC,
+				label, loJava, loc[i].XMLFSMLoC, loc[i].XMLDatapathLoC, loc[i].JavaFSMLoC,
 				p.Operators, p.SimWall.Round(time.Millisecond))
 		}
 	}

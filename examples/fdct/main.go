@@ -37,10 +37,14 @@ func main() {
 		fmt.Printf("%s\n", variant.name)
 		fmt.Printf("  source: %d lines of MiniJ; image: %d pixels (%d blocks)\n",
 			res.SourceLoC, pixels, pixels/64)
-		for _, p := range res.Partitions {
+		loc, err := res.Compiled.LoC()
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i, p := range res.Partitions {
 			fmt.Printf("  %s: %4d operators, %3d states, XML %4d+%3d lines, fsm.java %3d lines, %7d cycles, %v\n",
-				p.ID, p.Operators, p.States, p.XMLDatapathLoC, p.XMLFSMLoC,
-				p.JavaFSMLoC, p.Cycles, p.SimWall.Round(time.Millisecond))
+				p.ID, p.Operators, p.States, loc[i].XMLDatapathLoC, loc[i].XMLFSMLoC,
+				loc[i].JavaFSMLoC, p.Cycles, p.SimWall.Round(time.Millisecond))
 		}
 		status := "VERIFIED against the golden algorithm"
 		if !res.Passed {

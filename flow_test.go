@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/flow"
 	"repro/internal/hdl"
 	"repro/internal/memfile"
 	"repro/internal/workloads"
@@ -174,13 +175,22 @@ func TestTableIShape(t *testing.T) {
 		}
 	}
 	fdct1, fdct2, hamming := results[0], results[1], results[2]
+	loc := func(res *core.CaseResult) []flow.PartitionLoC {
+		t.Helper()
+		l, err := res.Compiled.LoC()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	f1LoC, f2LoC := loc(fdct1)[0], loc(fdct2)
 
 	f1 := fdct1.Partitions[0]
-	for _, p := range fdct2.Partitions {
+	for i, p := range fdct2.Partitions {
 		if ratio := float64(f1.Operators) / float64(p.Operators); ratio < 1.5 || ratio > 2.6 {
 			t.Errorf("operators ratio FDCT1/%s = %.2f, want ~2 (paper: 169/90)", p.ID, ratio)
 		}
-		if p.XMLDatapathLoC >= f1.XMLDatapathLoC {
+		if f2LoC[i].XMLDatapathLoC >= f1LoC.XMLDatapathLoC {
 			t.Errorf("partition %s datapath XML not smaller than FDCT1", p.ID)
 		}
 		if p.SimWall >= f1.SimWall {

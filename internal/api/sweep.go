@@ -236,8 +236,9 @@ type SweepStats struct {
 	Skipped        int    `json:"skipped"`  // shards resumed as complete
 	Failed         int    `json:"failed"`   // shards that exhausted retries
 	Retried        int    `json:"retried"`  // extra attempts beyond the first
-	// CasesExecuted counts cases actually simulated this pass by
-	// in-process workers — the resume economics counter: a resumed pass
+	// CasesExecuted counts the cases of the shards that became valid
+	// this pass, whatever worker ran them (resumed and failed shards
+	// are not counted) — the resume economics counter: a resumed pass
 	// after a crash executes only the lost shards' cases.
 	CasesExecuted int64  `json:"cases_executed"`
 	WallNS        int64  `json:"wall_ns"`

@@ -91,14 +91,12 @@ func (tc TestCase) FlowSource() flow.Source {
 	}
 }
 
-// PartitionStats reports one configuration for the Table I columns.
+// PartitionStats reports one configuration for the Table I columns; the
+// line-count columns come from the case's Compiled.LoC.
 type PartitionStats struct {
 	ID              string
 	Operators       int
 	States          int
-	XMLDatapathLoC  int
-	XMLFSMLoC       int
-	JavaFSMLoC      int
 	Cycles          uint64
 	SimWall         time.Duration
 	SimulatedEvents uint64
@@ -119,7 +117,11 @@ type CaseResult struct {
 	RefWall    time.Duration
 	RefSteps   uint64
 	Artifacts  map[string]string // label -> path (when WorkDir set)
-	Err        error
+	// Compiled is the design the case ran (nil when the case errored or
+	// was skipped before compiling); its LoC renders the Table I line
+	// counts.
+	Compiled *flow.Compiled
+	Err      error
 }
 
 // OK reports whether the case ran to completion and verified.
@@ -209,16 +211,14 @@ func RunCaseRepeatContext(ctx context.Context, tc TestCase, opts Options, reps i
 		return nil, err
 	}
 	c := d.Compiled()
+	res.Compiled = c
 	res.SourceLoC = c.SourceLoC
 	res.TotalOps = c.TotalOps
 	for _, pi := range c.Partitions {
 		res.Partitions = append(res.Partitions, PartitionStats{
-			ID:             pi.ID,
-			Operators:      pi.Operators,
-			States:         pi.States,
-			XMLDatapathLoC: pi.XMLDatapathLoC,
-			XMLFSMLoC:      pi.XMLFSMLoC,
-			JavaFSMLoC:     pi.JavaFSMLoC,
+			ID:        pi.ID,
+			Operators: pi.Operators,
+			States:    pi.States,
 		})
 	}
 	for label, path := range c.Artifacts {

@@ -46,8 +46,12 @@ func TestRunCaseFDCT1Small(t *testing.T) {
 	if p.Operators < 100 {
 		t.Fatalf("operators=%d suspiciously few for FDCT", p.Operators)
 	}
-	if p.XMLDatapathLoC <= p.XMLFSMLoC {
-		t.Fatalf("datapath XML (%d) should dominate FSM XML (%d)", p.XMLDatapathLoC, p.XMLFSMLoC)
+	loc, err := res.Compiled.LoC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := loc[0]; l.XMLDatapathLoC <= l.XMLFSMLoC {
+		t.Fatalf("datapath XML (%d) should dominate FSM XML (%d)", l.XMLDatapathLoC, l.XMLFSMLoC)
 	}
 	if p.Cycles == 0 || p.SimWall == 0 {
 		t.Fatalf("stats=%+v", p)
@@ -113,11 +117,20 @@ func TestHammingSmallerThanFDCT(t *testing.T) {
 	if hp.Operators >= fp.Operators {
 		t.Fatalf("hamming ops %d !< fdct ops %d", hp.Operators, fp.Operators)
 	}
-	if hp.XMLDatapathLoC >= fp.XMLDatapathLoC {
-		t.Fatalf("hamming dp xml %d !< fdct %d", hp.XMLDatapathLoC, fp.XMLDatapathLoC)
+	hLoC, err := h.Compiled.LoC()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hp.JavaFSMLoC >= fp.JavaFSMLoC {
-		t.Fatalf("hamming java %d !< fdct %d", hp.JavaFSMLoC, fp.JavaFSMLoC)
+	fLoC, err := f.Compiled.LoC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hl, fl := hLoC[0], fLoC[0]
+	if hl.XMLDatapathLoC >= fl.XMLDatapathLoC {
+		t.Fatalf("hamming dp xml %d !< fdct %d", hl.XMLDatapathLoC, fl.XMLDatapathLoC)
+	}
+	if hl.JavaFSMLoC >= fl.JavaFSMLoC {
+		t.Fatalf("hamming java %d !< fdct %d", hl.JavaFSMLoC, fl.JavaFSMLoC)
 	}
 }
 

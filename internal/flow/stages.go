@@ -37,14 +37,22 @@ func (s Source) name() string {
 	return s.Func
 }
 
-// PartitionInfo reports one compiled configuration's size — the
-// Table I columns.
+// PartitionInfo reports one compiled configuration's size: the Table I
+// operator and state columns. The line-count columns are rendered on
+// demand by Compiled.LoC.
 type PartitionInfo struct {
+	ID        string
+	Datapath  string
+	FSM       string
+	Operators int
+	States    int
+}
+
+// PartitionLoC is one configuration's Table I line counts: the
+// non-blank lines of its datapath XML, its FSM XML and the Java the
+// FSM→Java stylesheet renders from that FSM.
+type PartitionLoC struct {
 	ID             string
-	Datapath       string
-	FSM            string
-	Operators      int
-	States         int
 	XMLDatapathLoC int
 	XMLFSMLoC      int
 	JavaFSMLoC     int
@@ -62,10 +70,38 @@ type Compiled struct {
 	Artifacts  map[string]string // label -> path (when WorkDir set)
 }
 
-// Compile parses and compiles the source into its design, computes the
-// per-partition size metrics, and — when a WorkDir is configured —
-// writes the XML bundle, the initial memory files and (with
-// WithArtifacts) the dot/java/hds translations.
+// LoC renders every partition's datapath and FSM to XML and the FSM to
+// Java, and returns their line counts in Partitions order. The compile
+// stage does not render these views, so only a reader of the Table I
+// columns pays for them.
+func (c *Compiled) LoC() ([]PartitionLoC, error) {
+	out := make([]PartitionLoC, 0, len(c.Partitions))
+	for _, pi := range c.Partitions {
+		dpDoc, err := xmlspec.Marshal(c.Design.Datapaths[pi.Datapath])
+		if err != nil {
+			return nil, err
+		}
+		fsmDoc, err := xmlspec.Marshal(c.Design.FSMs[pi.FSM])
+		if err != nil {
+			return nil, err
+		}
+		javaOut, err := xsl.TransformBytes(xsl.FSMToJava(), fsmDoc)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, PartitionLoC{
+			ID:             pi.ID,
+			XMLDatapathLoC: xmlspec.LineCount(dpDoc),
+			XMLFSMLoC:      xmlspec.LineCount(fsmDoc),
+			JavaFSMLoC:     countLines(javaOut),
+		})
+	}
+	return out, nil
+}
+
+// Compile parses and compiles the source into its design and — when a
+// WorkDir is configured — writes the XML bundle, the initial memory
+// files and (with WithArtifacts) the dot/java/hds translations.
 func (p *Pipeline) Compile(src Source) (*Compiled, error) {
 	out := &Compiled{Source: src, Artifacts: map[string]string{}}
 	err := p.observeStage(StageCompile, src.name(), func() error {
@@ -88,28 +124,14 @@ func (p *Pipeline) Compile(src Source) (*Compiled, error) {
 		}
 		out.Design = comp.Design
 		out.Func = comp.Func
+		out.Partitions = make([]PartitionInfo, 0, len(comp.Meta))
 		for _, meta := range comp.Meta {
-			dpDoc, err := xmlspec.Marshal(comp.Design.Datapaths[meta.Datapath])
-			if err != nil {
-				return err
-			}
-			fsmDoc, err := xmlspec.Marshal(comp.Design.FSMs[meta.FSM])
-			if err != nil {
-				return err
-			}
-			javaOut, err := xsl.TransformBytes(xsl.FSMToJava(), fsmDoc)
-			if err != nil {
-				return err
-			}
 			out.Partitions = append(out.Partitions, PartitionInfo{
-				ID:             meta.ID,
-				Datapath:       meta.Datapath,
-				FSM:            meta.FSM,
-				Operators:      meta.Operators,
-				States:         meta.States,
-				XMLDatapathLoC: xmlspec.LineCount(dpDoc),
-				XMLFSMLoC:      xmlspec.LineCount(fsmDoc),
-				JavaFSMLoC:     countLines(javaOut),
+				ID:        meta.ID,
+				Datapath:  meta.Datapath,
+				FSM:       meta.FSM,
+				Operators: meta.Operators,
+				States:    meta.States,
 			})
 			out.TotalOps += meta.Operators
 		}

@@ -83,9 +83,11 @@ func (r *Registry) Types() []string {
 }
 
 // AddrWidth returns the address width needed for depth words (minimum 1).
+// No int depth needs more than 63 bits; the bound also stops the loop
+// where 1<<w would overflow.
 func AddrWidth(depth int) int {
 	w := 1
-	for 1<<uint(w) < depth {
+	for w < 63 && 1<<uint(w) < depth {
 		w++
 	}
 	return w

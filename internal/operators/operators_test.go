@@ -2,6 +2,7 @@ package operators
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -535,7 +536,10 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 }
 
 func TestAddrWidth(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10, 4096: 12}
+	// The last three depths pin the top of the range: they used to loop
+	// forever once 1<<w overflowed.
+	cases := map[int]int{1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10, 4096: 12,
+		1 << 62: 62, 1<<62 + 1: 63, math.MaxInt: 63}
 	for depth, want := range cases {
 		if got := AddrWidth(depth); got != want {
 			t.Errorf("AddrWidth(%d)=%d want %d", depth, got, want)

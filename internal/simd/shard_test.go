@@ -127,6 +127,9 @@ func TestRemoteWorkerCampaign(t *testing.T) {
 					t.Errorf("shard %d worker tag %q, want remote", st.Shard, st.Worker)
 				}
 			}
+			if res.Stats.CasesExecuted != int64(c.Cases()) {
+				t.Errorf("stats count %d cases executed, want the campaign's %d", res.Stats.CasesExecuted, c.Cases())
+			}
 
 			tr, err := scenario.ReadTrace(bytes.NewReader(got))
 			if err != nil {

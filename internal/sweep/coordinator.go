@@ -386,15 +386,18 @@ func sweepStats(c *Campaign, res *Result, opts Options, d *dispatcher, executed 
 		s.WorkerHealth = append(s.WorkerHealth, ep.snapshot())
 	}
 	for i := range res.Shards {
-		if res.Shards[i].Skipped {
+		st := &res.Shards[i]
+		if st.Skipped {
 			s.Skipped++
+		} else if st.State == StateValid {
+			// The dispatcher marked it valid and the final inspection
+			// kept it so: the shard became valid this pass, on
+			// whichever worker ran it.
+			s.CasesExecuted += int64(st.To - st.From)
 		}
-		if st := res.Shards[i].State; st != StateValid {
+		if st.State != StateValid {
 			s.Failed++
 		}
-	}
-	if lw, ok := opts.Worker.(*LocalWorker); ok {
-		s.CasesExecuted = lw.CasesExecuted()
 	}
 	return s
 }

@@ -89,6 +89,9 @@ func TestProcessWorkerCampaign(t *testing.T) {
 	if got := readOut(t, res); !bytes.Equal(got, want) {
 		t.Fatal("subprocess-worker campaign differs from single-process run")
 	}
+	if res.Stats.CasesExecuted != int64(c.Cases()) {
+		t.Errorf("stats count %d cases executed, want the campaign's %d", res.Stats.CasesExecuted, c.Cases())
+	}
 }
 
 // TestProcessWorkerKilledMidShard is the real multi-process crash: the
@@ -140,6 +143,9 @@ func TestProcessWorkerKilledMidShard(t *testing.T) {
 	// completed by the first pass and resumed, not re-executed.
 	if !res2.Shards[0].Skipped {
 		t.Error("shard 0 was re-executed on resume despite a valid footer")
+	}
+	if want := int64(c.Cases()) - validCasesIn(res1); res2.Stats.CasesExecuted != want {
+		t.Errorf("resume executed %d cases, want %d", res2.Stats.CasesExecuted, want)
 	}
 }
 

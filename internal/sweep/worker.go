@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"os/exec"
-	"sync/atomic"
 )
 
 // Worker executes one shard of a campaign into a file. The coordinator
@@ -26,8 +25,6 @@ type Worker interface {
 type LocalWorker struct {
 	// Injector arms test-only faults; nil runs clean.
 	Injector *Injector
-
-	executed atomic.Int64
 }
 
 // Name implements Worker.
@@ -35,15 +32,9 @@ func (w *LocalWorker) Name() string { return "local" }
 
 // RunShard implements Worker.
 func (w *LocalWorker) RunShard(ctx context.Context, c *Campaign, sh Shard, path string) error {
-	n, err := ExecuteShardFile(ctx, c, sh, path, w.Injector)
-	w.executed.Add(int64(n))
+	_, err := ExecuteShardFile(ctx, c, sh, path, w.Injector)
 	return err
 }
-
-// CasesExecuted counts the cases this worker actually simulated — the
-// resume economics counter: a resume pass after a crash pays only for
-// the lost shards' cases.
-func (w *LocalWorker) CasesExecuted() int64 { return w.executed.Load() }
 
 // ProcessWorker spawns one subprocess per shard — crash isolation: a
 // worker taken down mid-shard (OOM, kill, injected fault) loses only

@@ -54,14 +54,72 @@ func endpoint(s string) (inst, port string, ok bool) {
 	return s[:i], s[i+1:], true
 }
 
+// fanIn reports a mux whose fan-in exceeds drivers, the datapath's
+// connections plus control targets. Elaboration needs every in<i>
+// driven, so such a mux can never elaborate; rejecting it before its
+// port list is built keeps an oversized inputs attribute from
+// allocating one port per input.
+func (c *checker) fanIn(op *Operator, drivers int) bool {
+	if op.Type != "mux" || op.Inputs <= drivers {
+		return false
+	}
+	c.addf("operator %q has %d mux inputs, more than the %d connections and control targets that could drive them",
+		op.ID, op.Inputs, drivers)
+	return true
+}
+
+// portKey is an endpoint split into its instance and port.
+type portKey struct{ inst, port string }
+
+// site is where an endpoint appears: the from or to side of connection
+// idx, a target of control idx, or the source of status idx. It stands
+// in for the endpoint's label until a problem needs the text.
+type site struct {
+	kind siteKind
+	idx  int
+}
+
+type siteKind uint8
+
+const (
+	siteFrom siteKind = iota
+	siteTo
+	siteControl
+	siteStatus
+)
+
+// label renders the site as problems name it.
+func (s site) label(d *Datapath) string {
+	switch s.kind {
+	case siteFrom:
+		return "connect from=" + d.Connections[s.idx].From
+	case siteTo:
+		return "connect to=" + d.Connections[s.idx].To
+	case siteControl:
+		return "control " + d.Controls[s.idx].Name
+	default:
+		return "status " + d.Statuses[s.idx].Name
+	}
+}
+
 // ValidateDatapath checks structural sanity against the operator registry:
-// widths the kernel can carry, known types, unique ids, endpoints
-// referencing real instance ports with compatible directions, and single
-// drivers per sink port.
+// widths the kernel can carry, known types, unique ids, mux fan-ins the
+// datapath can drive, endpoints referencing real instance ports with
+// compatible directions, and single drivers per sink port.
 func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 	c := &checker{doc: "datapath " + d.Name}
 	c.width("datapath", d.Name, d.Width)
-	ports := map[string]map[string]operators.PortSpec{} // inst -> port -> spec
+	drivers := len(d.Connections)
+	for i := range d.Controls {
+		drivers += len(d.Controls[i].Targets)
+	}
+	type opPorts struct {
+		id    string
+		ports []operators.PortSpec
+	}
+	lists := make([]opPorts, 0, len(d.Operators))
+	insts := make(map[string]struct{}, len(d.Operators))
+	nports := 0
 	for i := range d.Operators {
 		op := &d.Operators[i]
 		if op.ID == "" {
@@ -69,7 +127,7 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 			continue
 		}
 		c.width("operator", op.ID, op.Width)
-		if _, dup := ports[op.ID]; dup {
+		if _, dup := insts[op.ID]; dup {
 			c.addf("duplicate operator id %q", op.ID)
 			continue
 		}
@@ -78,67 +136,70 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 			c.addf("operator %q has unknown type %q", op.ID, op.Type)
 			continue
 		}
-		pm := map[string]operators.PortSpec{}
-		for _, ps := range spec.Ports(paramsOf(op, d.Width)) {
-			pm[ps.Name] = ps
+		if c.fanIn(op, drivers) {
+			continue
 		}
-		ports[op.ID] = pm
+		ps := spec.Ports(paramsOf(op, d.Width))
+		lists = append(lists, opPorts{op.ID, ps})
+		insts[op.ID] = struct{}{}
+		nports += len(ps)
+	}
+	ports := make(map[portKey]operators.PortSpec, nports)
+	for _, l := range lists {
+		for _, ps := range l.ports {
+			ports[portKey{l.id, ps.Name}] = ps
+		}
 	}
 
-	driven := map[string]string{} // sink endpoint -> driver description
-	sinkOK := func(ep, what string) {
+	// lookup resolves an endpoint to its port spec, reporting why it
+	// cannot.
+	lookup := func(ep string, at site) (portKey, operators.PortSpec, bool) {
 		inst, port, ok := endpoint(ep)
 		if !ok {
-			c.addf("%s: malformed endpoint %q", what, ep)
-			return
+			c.addf("%s: malformed endpoint %q", at.label(d), ep)
+			return portKey{}, operators.PortSpec{}, false
 		}
-		pm, ok := ports[inst]
-		if !ok {
-			c.addf("%s: unknown instance %q", what, inst)
-			return
+		if _, ok := insts[inst]; !ok {
+			c.addf("%s: unknown instance %q", at.label(d), inst)
+			return portKey{}, operators.PortSpec{}, false
 		}
-		spec, ok := pm[port]
+		k := portKey{inst, port}
+		spec, ok := ports[k]
 		if !ok {
-			c.addf("%s: instance %q has no port %q", what, inst, port)
+			c.addf("%s: instance %q has no port %q", at.label(d), inst, port)
+			return portKey{}, operators.PortSpec{}, false
+		}
+		return k, spec, true
+	}
+	driven := make(map[portKey]site, drivers) // sink port -> its driver
+	sinkOK := func(ep string, at site) {
+		k, spec, ok := lookup(ep, at)
+		if !ok {
 			return
 		}
 		if spec.Dir != operators.In {
-			c.addf("%s: endpoint %q is not an input", what, ep)
+			c.addf("%s: endpoint %q is not an input", at.label(d), ep)
 			return
 		}
-		if prev, dup := driven[ep]; dup {
-			c.addf("%s: endpoint %q already driven by %s", what, ep, prev)
+		if prev, dup := driven[k]; dup {
+			c.addf("%s: endpoint %q already driven by %s", at.label(d), ep, prev.label(d))
 			return
 		}
-		driven[ep] = what
+		driven[k] = at
 	}
-	srcOK := func(ep, what string) {
-		inst, port, ok := endpoint(ep)
-		if !ok {
-			c.addf("%s: malformed endpoint %q", what, ep)
-			return
-		}
-		pm, ok := ports[inst]
-		if !ok {
-			c.addf("%s: unknown instance %q", what, inst)
-			return
-		}
-		spec, ok := pm[port]
-		if !ok {
-			c.addf("%s: instance %q has no port %q", what, inst, port)
-			return
-		}
-		if spec.Dir != operators.Out {
-			c.addf("%s: endpoint %q is not an output", what, ep)
+	srcOK := func(ep string, at site) {
+		_, spec, ok := lookup(ep, at)
+		if ok && spec.Dir != operators.Out {
+			c.addf("%s: endpoint %q is not an output", at.label(d), ep)
 		}
 	}
 
-	for _, cn := range d.Connections {
-		srcOK(cn.From, "connect from="+cn.From)
-		sinkOK(cn.To, "connect to="+cn.To)
+	for i, cn := range d.Connections {
+		srcOK(cn.From, site{siteFrom, i})
+		sinkOK(cn.To, site{siteTo, i})
 	}
-	ctlSeen := map[string]bool{}
-	for _, ctl := range d.Controls {
+	ctlSeen := make(map[string]bool, len(d.Controls))
+	for i, ctl := range d.Controls {
 		if ctlSeen[ctl.Name] {
 			c.addf("duplicate control %q", ctl.Name)
 		}
@@ -148,17 +209,17 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 			c.addf("control %q has no targets", ctl.Name)
 		}
 		for _, to := range ctl.Targets {
-			sinkOK(to.Port, "control "+ctl.Name)
+			sinkOK(to.Port, site{siteControl, i})
 		}
 	}
-	stSeen := map[string]bool{}
-	for _, st := range d.Statuses {
+	stSeen := make(map[string]bool, len(d.Statuses))
+	for i, st := range d.Statuses {
 		if stSeen[st.Name] {
 			c.addf("duplicate status %q", st.Name)
 		}
 		stSeen[st.Name] = true
 		c.width("status", st.Name, st.Width)
-		srcOK(st.From, "status "+st.Name)
+		srcOK(st.From, site{siteStatus, i})
 	}
 	return c.err()
 }

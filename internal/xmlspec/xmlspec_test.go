@@ -1,6 +1,7 @@
 package xmlspec
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -148,27 +149,34 @@ func TestValidateDatapathAcceptsGood(t *testing.T) {
 	}
 }
 
+// datapathProblems mutates smallDatapath into one invalid datapath per
+// check; expect is a substring of the problem reported. The fuzz test
+// seeds its corpus with these mutations too.
+var datapathProblems = []struct {
+	name   string
+	mutate func(*Datapath)
+	expect string
+}{
+	{"unknown type", func(d *Datapath) { d.Operators[0].Type = "frobnicate" }, "unknown type"},
+	{"duplicate id", func(d *Datapath) { d.Operators[1].ID = "c1" }, "duplicate operator id"},
+	{"unknown instance", func(d *Datapath) { d.Connections[0].To = "nope.a" }, "unknown instance"},
+	{"unknown port", func(d *Datapath) { d.Connections[0].To = "add0.zz" }, "no port"},
+	{"direction", func(d *Datapath) { d.Connections[0].To = "add0.y" }, "not an input"},
+	{"malformed", func(d *Datapath) { d.Connections[0].From = "bare" }, "malformed endpoint"},
+	{"double drive", func(d *Datapath) {
+		d.Connections = append(d.Connections, Connection{From: "c10.y", To: "add0.a"})
+	}, "already driven"},
+	{"control no targets", func(d *Datapath) { d.Controls[0].Targets = nil }, "no targets"},
+	{"status not output", func(d *Datapath) { d.Statuses[0].From = "lt0.a" }, "not an output"},
+	{"missing id", func(d *Datapath) { d.Operators[0].ID = "" }, "has no id"},
+	{"mux fan-in", func(d *Datapath) {
+		d.Operators = append(d.Operators, Operator{ID: "m0", Type: "mux", Inputs: 1 << 40})
+	}, `operator "m0" has 1099511627776 mux inputs`},
+}
+
 func TestValidateDatapathProblems(t *testing.T) {
 	reg := operators.DefaultRegistry()
-	cases := []struct {
-		name   string
-		mutate func(*Datapath)
-		expect string
-	}{
-		{"unknown type", func(d *Datapath) { d.Operators[0].Type = "frobnicate" }, "unknown type"},
-		{"duplicate id", func(d *Datapath) { d.Operators[1].ID = "c1" }, "duplicate operator id"},
-		{"unknown instance", func(d *Datapath) { d.Connections[0].To = "nope.a" }, "unknown instance"},
-		{"unknown port", func(d *Datapath) { d.Connections[0].To = "add0.zz" }, "no port"},
-		{"direction", func(d *Datapath) { d.Connections[0].To = "add0.y" }, "not an input"},
-		{"malformed", func(d *Datapath) { d.Connections[0].From = "bare" }, "malformed endpoint"},
-		{"double drive", func(d *Datapath) {
-			d.Connections = append(d.Connections, Connection{From: "c10.y", To: "add0.a"})
-		}, "already driven"},
-		{"control no targets", func(d *Datapath) { d.Controls[0].Targets = nil }, "no targets"},
-		{"status not output", func(d *Datapath) { d.Statuses[0].From = "lt0.a" }, "not an output"},
-		{"missing id", func(d *Datapath) { d.Operators[0].ID = "" }, "has no id"},
-	}
-	for _, c := range cases {
+	for _, c := range datapathProblems {
 		t.Run(c.name, func(t *testing.T) {
 			dp := smallDatapath()
 			c.mutate(dp)
@@ -179,7 +187,32 @@ func TestValidateDatapathProblems(t *testing.T) {
 			if !strings.Contains(err.Error(), c.expect) {
 				t.Fatalf("error %q does not mention %q", err, c.expect)
 			}
+			var ve *ValidationError
+			if !errors.As(err, &ve) {
+				t.Fatalf("error %T is not a *ValidationError", err)
+			}
 		})
+	}
+}
+
+// TestValidateRejectsHugeMuxFanIn validates a datapath loaded from XML
+// whose one mux claims 2^40 inputs. Its port list would take terabytes,
+// so the validator must reject the fan-in without building it: nothing
+// drives those inputs.
+func TestValidateRejectsHugeMuxFanIn(t *testing.T) {
+	doc := []byte(`<datapath name="d" width="8"><operators><operator id="m" type="mux" inputs="1099511627776"/></operators></datapath>`)
+	dp, err := ParseDatapath(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = ValidateDatapath(dp, operators.DefaultRegistry())
+	var ve *ValidationError
+	if !errors.As(err, &ve) {
+		t.Fatalf("err=%v, want a *ValidationError", err)
+	}
+	want := `operator "m" has 1099511627776 mux inputs, more than the 0 connections and control targets that could drive them`
+	if len(ve.Problems) != 1 || ve.Problems[0] != want {
+		t.Fatalf("problems=%q, want [%q]", ve.Problems, want)
 	}
 }
 
