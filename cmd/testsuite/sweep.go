@@ -234,8 +234,7 @@ func sweepWorker(args []string) error {
 	if inj != nil {
 		inj.Exit = os.Exit
 	}
-	_, err = sweep.ExecuteShardFile(context.Background(), c, sh, *shardOut, inj)
-	return err
+	return sweep.ExecuteShardFile(context.Background(), c, sh, *shardOut, inj)
 }
 
 // serveProgress exposes a live coordinator over HTTP: /progressz

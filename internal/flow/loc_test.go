@@ -31,8 +31,8 @@ func suiteSource(t *testing.T, family string) flow.Source {
 }
 
 // TestTableILoCGolden pins the Table I line counts of every family's
-// suite preset, partition by partition, to the values the compile
-// stage rendered before the views moved behind Compiled.LoC.
+// suite preset, partition by partition, so rendering them on demand
+// cannot change a Table I column.
 func TestTableILoCGolden(t *testing.T) {
 	golden := map[string][]flow.PartitionLoC{
 		"erasure": {{ID: "cfg1", XMLDatapathLoC: 167, XMLFSMLoC: 146, JavaFSMLoC: 244}},

@@ -536,8 +536,8 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 }
 
 func TestAddrWidth(t *testing.T) {
-	// The last three depths pin the top of the range: they used to loop
-	// forever once 1<<w overflowed.
+	// The last three depths pin the top of the int range, where 1<<w
+	// overflows.
 	cases := map[int]int{1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10, 4096: 12,
 		1 << 62: 62, 1<<62 + 1: 63, math.MaxInt: 63}
 	for depth, want := range cases {

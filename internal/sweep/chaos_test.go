@@ -169,7 +169,7 @@ func TestInspectShardClassification(t *testing.T) {
 
 	expect("no file", sweep.StateMissing)
 
-	if _, err := sweep.ExecuteShardFile(context.Background(), c, sh, path, nil); err != nil {
+	if err := sweep.ExecuteShardFile(context.Background(), c, sh, path, nil); err != nil {
 		t.Fatal(err)
 	}
 	expect("clean execution", sweep.StateValid)
@@ -204,14 +204,14 @@ func TestInspectShardClassification(t *testing.T) {
 
 	// A different shard of the same campaign: foreign, not torn.
 	sh1 := c.Shards()[1]
-	if _, err := sweep.ExecuteShardFile(context.Background(), c, sh1, path, nil); err != nil {
+	if err := sweep.ExecuteShardFile(context.Background(), c, sh1, path, nil); err != nil {
 		t.Fatal(err)
 	}
 	expect("duplicated other shard", sweep.StateForeign)
 
 	// Same shard of a different campaign: foreign.
 	c2 := mustLoad(t, sweep.WrapScenario(scenarioSpec(26, 4), 2))
-	if _, err := sweep.ExecuteShardFile(context.Background(), c2, c2.Shards()[0], path, nil); err != nil {
+	if err := sweep.ExecuteShardFile(context.Background(), c2, c2.Shards()[0], path, nil); err != nil {
 		t.Fatal(err)
 	}
 	expect("other campaign", sweep.StateForeign)

@@ -241,7 +241,7 @@ func TestInspectShardForeignCaseRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := sweep.ShardPath(t.TempDir(), 0)
-	if _, err := sweep.ExecuteShardFile(context.Background(), c, sh, path, nil); err != nil {
+	if err := sweep.ExecuteShardFile(context.Background(), c, sh, path, nil); err != nil {
 		t.Fatal(err)
 	}
 	info, err := sweep.InspectShard(path, c.ShardHeader(sh))

@@ -54,7 +54,7 @@ func TestHelperProcess(t *testing.T) {
 		os.Exit(2)
 	}
 	inj.Exit = os.Exit
-	if _, err := sweep.ExecuteShardFile(context.Background(), c, sh, args[2], inj); err != nil {
+	if err := sweep.ExecuteShardFile(context.Background(), c, sh, args[2], inj); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -135,13 +135,13 @@ func ExecuteShard(ctx context.Context, c *Campaign, sh Shard, w io.Writer, inj *
 // classify, exactly like a crashed worker. A truncate fault, if armed
 // for this shard, chops the completed file mid-case to simulate a
 // write torn by the filesystem.
-func ExecuteShardFile(ctx context.Context, c *Campaign, sh Shard, path string, inj *Injector) (int, error) {
+func ExecuteShardFile(ctx context.Context, c *Campaign, sh Shard, path string, inj *Injector) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return 0, fmt.Errorf("sweep: %w", err)
+		return fmt.Errorf("sweep: %w", err)
 	}
 	bw := bufio.NewWriter(f)
-	executed, err := ExecuteShard(ctx, c, sh, bw, inj)
+	_, err = ExecuteShard(ctx, c, sh, bw, inj)
 	if ferr := bw.Flush(); err == nil && ferr != nil {
 		err = fmt.Errorf("sweep: write shard %d: %w", sh.Index, ferr)
 	}
@@ -149,18 +149,18 @@ func ExecuteShardFile(ctx context.Context, c *Campaign, sh Shard, path string, i
 		err = fmt.Errorf("sweep: close shard %d: %w", sh.Index, cerr)
 	}
 	if err != nil {
-		return executed, err
+		return err
 	}
 	if inj.truncatesShard(sh.Index) {
 		st, err := os.Stat(path)
 		if err != nil {
-			return executed, fmt.Errorf("sweep: truncate fault: %w", err)
+			return fmt.Errorf("sweep: truncate fault: %w", err)
 		}
 		if err := os.Truncate(path, st.Size()*2/3); err != nil {
-			return executed, fmt.Errorf("sweep: truncate fault: %w", err)
+			return fmt.Errorf("sweep: truncate fault: %w", err)
 		}
 	}
-	return executed, nil
+	return nil
 }
 
 // InspectShard classifies the shard file at path against the header an

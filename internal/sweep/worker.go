@@ -32,8 +32,7 @@ func (w *LocalWorker) Name() string { return "local" }
 
 // RunShard implements Worker.
 func (w *LocalWorker) RunShard(ctx context.Context, c *Campaign, sh Shard, path string) error {
-	_, err := ExecuteShardFile(ctx, c, sh, path, w.Injector)
-	return err
+	return ExecuteShardFile(ctx, c, sh, path, w.Injector)
 }
 
 // ProcessWorker spawns one subprocess per shard — crash isolation: a

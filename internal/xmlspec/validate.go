@@ -68,21 +68,27 @@ func (c *checker) fanIn(op *Operator, drivers int) bool {
 	return true
 }
 
-// portKey is an endpoint split into its instance and port.
-type portKey struct{ inst, port string }
+// portKey names a port of the operator with index op in the
+// validator's list of instances.
+type portKey struct {
+	op   int32
+	port string
+}
 
 // site is where an endpoint appears: the from or to side of connection
 // idx, a target of control idx, or the source of status idx. It stands
-// in for the endpoint's label until a problem needs the text.
+// in for the endpoint's label until a problem needs the text; the zero
+// site is no site.
 type site struct {
 	kind siteKind
-	idx  int
+	idx  int32
 }
 
 type siteKind uint8
 
 const (
-	siteFrom siteKind = iota
+	siteNone siteKind = iota
+	siteFrom
 	siteTo
 	siteControl
 	siteStatus
@@ -113,12 +119,12 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 	for i := range d.Controls {
 		drivers += len(d.Controls[i].Targets)
 	}
-	type opPorts struct {
-		id    string
+	type instance struct {
 		ports []operators.PortSpec
+		first int // number of ports[0] among all instances' ports
 	}
-	lists := make([]opPorts, 0, len(d.Operators))
-	insts := make(map[string]struct{}, len(d.Operators))
+	insts := make([]instance, 0, len(d.Operators))
+	byID := make(map[string]int32, len(d.Operators)) // id -> index in insts
 	nports := 0
 	for i := range d.Operators {
 		op := &d.Operators[i]
@@ -127,7 +133,7 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 			continue
 		}
 		c.width("operator", op.ID, op.Width)
-		if _, dup := insts[op.ID]; dup {
+		if _, dup := byID[op.ID]; dup {
 			c.addf("duplicate operator id %q", op.ID)
 			continue
 		}
@@ -140,40 +146,67 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 			continue
 		}
 		ps := spec.Ports(paramsOf(op, d.Width))
-		lists = append(lists, opPorts{op.ID, ps})
-		insts[op.ID] = struct{}{}
+		byID[op.ID] = int32(len(insts))
+		insts = append(insts, instance{ps, nports})
 		nports += len(ps)
 	}
-	ports := make(map[portKey]operators.PortSpec, nports)
-	for _, l := range lists {
-		for _, ps := range l.ports {
-			ports[portKey{l.id, ps.Name}] = ps
+	// A port list of a few entries is searched in place. A longer one (a
+	// mux's grows with its fan-in) goes into one map, so a lookup stays
+	// O(1) in the port count.
+	const scanPorts = 8
+	nlong := 0
+	for _, in := range insts {
+		if len(in.ports) > scanPorts {
+			nlong += len(in.ports)
 		}
+	}
+	long := make(map[portKey]int32, nlong) // -> index in the instance's ports
+	for i, in := range insts {
+		if len(in.ports) > scanPorts {
+			for j, ps := range in.ports {
+				long[portKey{int32(i), ps.Name}] = int32(j)
+			}
+		}
+	}
+	// portOf finds a port of instance i. A name listed twice resolves to
+	// its last entry, in the list as in the map.
+	portOf := func(i int32, port string) (int32, bool) {
+		ps := insts[i].ports
+		if len(ps) > scanPorts {
+			j, ok := long[portKey{i, port}]
+			return j, ok
+		}
+		for j := len(ps) - 1; j >= 0; j-- {
+			if ps[j].Name == port {
+				return int32(j), true
+			}
+		}
+		return 0, false
 	}
 
-	// lookup resolves an endpoint to its port spec, reporting why it
-	// cannot.
-	lookup := func(ep string, at site) (portKey, operators.PortSpec, bool) {
-		inst, port, ok := endpoint(ep)
+	// lookup resolves an endpoint to its port spec and its number among
+	// all ports, reporting why it cannot.
+	lookup := func(ep string, at site) (operators.PortSpec, int, bool) {
+		id, port, ok := endpoint(ep)
 		if !ok {
 			c.addf("%s: malformed endpoint %q", at.label(d), ep)
-			return portKey{}, operators.PortSpec{}, false
+			return operators.PortSpec{}, 0, false
 		}
-		if _, ok := insts[inst]; !ok {
-			c.addf("%s: unknown instance %q", at.label(d), inst)
-			return portKey{}, operators.PortSpec{}, false
-		}
-		k := portKey{inst, port}
-		spec, ok := ports[k]
+		i, ok := byID[id]
 		if !ok {
-			c.addf("%s: instance %q has no port %q", at.label(d), inst, port)
-			return portKey{}, operators.PortSpec{}, false
+			c.addf("%s: unknown instance %q", at.label(d), id)
+			return operators.PortSpec{}, 0, false
 		}
-		return k, spec, true
+		j, ok := portOf(i, port)
+		if !ok {
+			c.addf("%s: instance %q has no port %q", at.label(d), id, port)
+			return operators.PortSpec{}, 0, false
+		}
+		return insts[i].ports[j], insts[i].first + int(j), true
 	}
-	driven := make(map[portKey]site, drivers) // sink port -> its driver
+	driven := make([]site, nports) // port number -> its driver
 	sinkOK := func(ep string, at site) {
-		k, spec, ok := lookup(ep, at)
+		spec, n, ok := lookup(ep, at)
 		if !ok {
 			return
 		}
@@ -181,22 +214,22 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 			c.addf("%s: endpoint %q is not an input", at.label(d), ep)
 			return
 		}
-		if prev, dup := driven[k]; dup {
+		if prev := driven[n]; prev.kind != siteNone {
 			c.addf("%s: endpoint %q already driven by %s", at.label(d), ep, prev.label(d))
 			return
 		}
-		driven[k] = at
+		driven[n] = at
 	}
 	srcOK := func(ep string, at site) {
-		_, spec, ok := lookup(ep, at)
+		spec, _, ok := lookup(ep, at)
 		if ok && spec.Dir != operators.Out {
 			c.addf("%s: endpoint %q is not an output", at.label(d), ep)
 		}
 	}
 
 	for i, cn := range d.Connections {
-		srcOK(cn.From, site{siteFrom, i})
-		sinkOK(cn.To, site{siteTo, i})
+		srcOK(cn.From, site{siteFrom, int32(i)})
+		sinkOK(cn.To, site{siteTo, int32(i)})
 	}
 	ctlSeen := make(map[string]bool, len(d.Controls))
 	for i, ctl := range d.Controls {
@@ -209,7 +242,7 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 			c.addf("control %q has no targets", ctl.Name)
 		}
 		for _, to := range ctl.Targets {
-			sinkOK(to.Port, site{siteControl, i})
+			sinkOK(to.Port, site{siteControl, int32(i)})
 		}
 	}
 	stSeen := make(map[string]bool, len(d.Statuses))
@@ -219,7 +252,7 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 		}
 		stSeen[st.Name] = true
 		c.width("status", st.Name, st.Width)
-		srcOK(st.From, site{siteStatus, i})
+		srcOK(st.From, site{siteStatus, int32(i)})
 	}
 	return c.err()
 }

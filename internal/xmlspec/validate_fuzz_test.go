@@ -68,10 +68,10 @@ func sameVerdict(t *testing.T, dp *xmlspec.Datapath, reg *operators.Registry) {
 // never panic or hang; hsim and xml2hdl validate datapaths loaded from
 // disk through the same function. The seeds are the marshalled
 // datapaths of every workload family's suite preset and the problem
-// mutations of the xmlspec test fixture. testdata/fuzz/ adds two inputs
-// the validator used to die on: a mux fan-in of 2^40 (out of memory
-// building its port list) and ram/rom depths above 2^62 (AddrWidth
-// looped forever).
+// mutations of the xmlspec test fixture. testdata/fuzz/ adds two
+// oversized attributes: a mux fan-in of 2^40, whose port list would
+// exhaust memory, and ram/rom depths above 2^62, where AddrWidth's 1<<w
+// overflows.
 func FuzzValidateDatapath(f *testing.F) {
 	seeds := xmlspec.ProblemDatapaths()
 	for _, dps := range familyDatapaths(f) {
@@ -99,7 +99,7 @@ func FuzzValidateDatapath(f *testing.F) {
 // so the plain test run covers more than the fuzz seeds.
 func TestValidateDatapathMatchesOracle(t *testing.T) {
 	reg := operators.DefaultRegistry()
-	bases := xmlspec.ProblemDatapaths()[:1]
+	bases := xmlspec.ProblemDatapaths()[:1] // the unmutated fixture
 	for _, dps := range familyDatapaths(t) {
 		bases = append(bases, dps...)
 	}
@@ -139,7 +139,7 @@ func cloneDatapath(d *xmlspec.Datapath) *xmlspec.Datapath {
 // mutateDatapath applies one random edit aimed at a validator check.
 func mutateDatapath(r *rand.Rand, d *xmlspec.Datapath) {
 	pick := func(s []string) string { return s[r.Intn(len(s))] }
-	widths := []int{-1, 0, 1, 8, 64, 65}
+	width := func() int { return []int{-1, 0, 1, 8, 64, 65}[r.Intn(6)] }
 	types := []string{"const", "add", "lt", "reg", "mux", "ram", "rom", "stim", "sink", "lnot", "b2i", "frob"}
 	ports := []string{"a", "b", "y", "d", "q", "en", "rst", "clk", "in0", "in1", "in2", "sel", "addr", "dout", "zz"}
 	inst := func() string {
@@ -168,7 +168,7 @@ func mutateDatapath(r *rand.Rand, d *xmlspec.Datapath) {
 	}
 	switch r.Intn(15) {
 	case 0:
-		d.Width = pickInt(r, widths)
+		d.Width = width()
 	case 1:
 		op().ID = pick([]string{"", inst(), fmt.Sprintf("n%d", r.Intn(4))})
 	case 2:
@@ -177,7 +177,7 @@ func mutateDatapath(r *rand.Rand, d *xmlspec.Datapath) {
 		o := op()
 		o.Type, o.Inputs = "mux", r.Intn(len(d.Connections)+4)-1
 	case 4:
-		op().Width = pickInt(r, widths)
+		op().Width = width()
 	case 5:
 		d.Operators = append(d.Operators, xmlspec.Operator{ID: fmt.Sprintf("n%d", r.Intn(4)), Type: pick(types), Inputs: r.Intn(4), Depth: r.Intn(9)})
 	case 6:
@@ -204,7 +204,7 @@ func mutateDatapath(r *rand.Rand, d *xmlspec.Datapath) {
 		if len(d.Controls) > 0 && r.Intn(2) == 0 {
 			name = d.Controls[r.Intn(len(d.Controls))].Name
 		}
-		d.Controls = append(d.Controls, xmlspec.Control{Name: name, Width: pickInt(r, widths),
+		d.Controls = append(d.Controls, xmlspec.Control{Name: name, Width: width(),
 			Targets: []xmlspec.ControlTo{{Port: ep()}, {Port: ep()}}[:r.Intn(3)]})
 	case 12:
 		if len(d.Controls) > 0 {
@@ -216,15 +216,13 @@ func mutateDatapath(r *rand.Rand, d *xmlspec.Datapath) {
 		if len(d.Statuses) > 0 && r.Intn(2) == 0 {
 			name = d.Statuses[r.Intn(len(d.Statuses))].Name
 		}
-		d.Statuses = append(d.Statuses, xmlspec.Status{Name: name, Width: pickInt(r, widths), From: ep()})
+		d.Statuses = append(d.Statuses, xmlspec.Status{Name: name, Width: width(), From: ep()})
 	case 14:
 		if len(d.Statuses) > 0 {
 			d.Statuses[r.Intn(len(d.Statuses))].From = ep()
 		}
 	}
 }
-
-func pickInt(r *rand.Rand, s []int) int { return s[r.Intn(len(s))] }
 
 // TestValidateDatapathAllocs pins the validator's allocations on the
 // FDCT1 datapath (hundreds of operators and connections) to at most

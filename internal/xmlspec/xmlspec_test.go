@@ -172,6 +172,16 @@ var datapathProblems = []struct {
 	{"mux fan-in", func(d *Datapath) {
 		d.Operators = append(d.Operators, Operator{ID: "m0", Type: "mux", Inputs: 1 << 40})
 	}, `operator "m0" has 1099511627776 mux inputs`},
+	// A mux with seven inputs has nine ports, a list long enough to be
+	// looked up by map rather than searched in place.
+	{"wide mux no port", func(d *Datapath) {
+		d.Operators = append(d.Operators, Operator{ID: "m0", Type: "mux", Inputs: 7})
+		d.Connections = append(d.Connections, Connection{From: "c1.y", To: "m0.in6"}, Connection{From: "c1.y", To: "m0.in7"})
+	}, `connect to=m0.in7: instance "m0" has no port "in7"`},
+	{"wide mux double drive", func(d *Datapath) {
+		d.Operators = append(d.Operators, Operator{ID: "m0", Type: "mux", Inputs: 7})
+		d.Connections = append(d.Connections, Connection{From: "c1.y", To: "m0.in6"}, Connection{From: "c10.y", To: "m0.in6"})
+	}, `endpoint "m0.in6" already driven by connect to=m0.in6`},
 }
 
 func TestValidateDatapathProblems(t *testing.T) {
