@@ -119,13 +119,17 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 	for i := range d.Controls {
 		drivers += len(d.Controls[i].Targets)
 	}
+	// A port list of up to scanPorts entries is searched in place. A
+	// longer one (a mux's grows with its fan-in) goes into one map, so a
+	// lookup stays O(1) in the port count.
+	const scanPorts = 8
 	type instance struct {
 		ports []operators.PortSpec
-		first int // number of ports[0] among all instances' ports
+		first int // index of ports[0] in the numbering of all instances' ports
 	}
 	insts := make([]instance, 0, len(d.Operators))
 	byID := make(map[string]int32, len(d.Operators)) // id -> index in insts
-	nports := 0
+	nports, nlong := 0, 0
 	for i := range d.Operators {
 		op := &d.Operators[i]
 		if op.ID == "" {
@@ -149,23 +153,17 @@ func ValidateDatapath(d *Datapath, reg *operators.Registry) error {
 		byID[op.ID] = int32(len(insts))
 		insts = append(insts, instance{ps, nports})
 		nports += len(ps)
-	}
-	// A port list of a few entries is searched in place. A longer one (a
-	// mux's grows with its fan-in) goes into one map, so a lookup stays
-	// O(1) in the port count.
-	const scanPorts = 8
-	nlong := 0
-	for _, in := range insts {
-		if len(in.ports) > scanPorts {
-			nlong += len(in.ports)
+		if len(ps) > scanPorts {
+			nlong += len(ps)
 		}
 	}
 	long := make(map[portKey]int32, nlong) // -> index in the instance's ports
 	for i, in := range insts {
-		if len(in.ports) > scanPorts {
-			for j, ps := range in.ports {
-				long[portKey{int32(i), ps.Name}] = int32(j)
-			}
+		if len(in.ports) <= scanPorts {
+			continue
+		}
+		for j, ps := range in.ports {
+			long[portKey{int32(i), ps.Name}] = int32(j)
 		}
 	}
 	// portOf finds a port of instance i. A name listed twice resolves to
