@@ -106,7 +106,7 @@ func sweepRun(args []string) error {
 		backoff      = fs.Duration("backoff", 100*time.Millisecond, "base backoff between shard retries")
 		maxFailures  = fs.Int("max-failures", 1, "failed shards tolerated before aborting the pass")
 		backend      = fs.String("backend", "", "simulator backend override for the whole campaign")
-		progress     = fs.String("progress", "", "serve live progress on this address (/progressz, /debug/vars)")
+		progress     = fs.String("progress", "", "serve live progress on this address (/progressz; /debug/vars has Go's memstats)")
 		shardTimeout = fs.Duration("shard-timeout", 0, "per-attempt deadline for one shard (0 = none)")
 		quiet        = fs.Bool("q", false, "suppress per-shard progress on stderr")
 	)
@@ -239,8 +239,8 @@ func sweepWorker(args []string) error {
 
 // serveProgress exposes a live coordinator over HTTP: /progressz
 // serves the latest sweep.Progress snapshot as JSON (503 until the
-// first one exists) and /debug/vars the process expvars, including
-// the "sweep" dispatch counters shared with simd's /statsz world.
+// first one exists) and /debug/vars the process expvars (Go's memstats
+// and command line).
 func serveProgress(addr string) (*sweep.ProgressTracker, *http.Server, error) {
 	tracker := &sweep.ProgressTracker{}
 	mux := http.NewServeMux()

@@ -256,13 +256,14 @@ type SweepStats struct {
 }
 
 // WorkerHealth is one endpoint's health-model snapshot: circuit-breaker
-// state, consecutive failures, and the latency EWMA the hedging
-// deadline derives from. Carried in the stats sidecar, SweepProgress
-// and /progressz — never in a shard or campaign file.
+// state, consecutive failures, and the endpoint's own latency EWMA
+// (the hedging deadline derives from the fleet-wide EWMA, not this
+// one). Carried in the stats sidecar, SweepProgress and /progressz —
+// never in a shard or campaign file.
 type WorkerHealth struct {
 	Name string `json:"name"`
-	// State is the circuit-breaker state: "healthy" (closed), "open"
-	// (quarantined, routed around) or "half-open" (probing).
+	// State is the circuit-breaker state: "healthy" (closed) or "open"
+	// (quarantined, routed around).
 	State string `json:"state"`
 	// ConsecutiveFailures is the breaker's trip counter; it resets on
 	// every success.
@@ -272,8 +273,6 @@ type WorkerHealth struct {
 	// LatencyEWMANS is the endpoint's exponentially weighted moving
 	// average of per-shard wall time, in nanoseconds.
 	LatencyEWMANS int64 `json:"latency_ewma_ns,omitempty"`
-	// Probes counts half-open probe shards dispatched to this endpoint.
-	Probes int64 `json:"probes,omitempty"`
 }
 
 // SweepProgress is a live coordinator snapshot: the /progressz payload

@@ -90,13 +90,12 @@ func (s *Server) handleShardedSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	fw := flushWriter{w: w}
 	fw.f, _ = w.(http.Flusher)
-	n, err := sweep.ExecuteShard(ctx, c, sh, fw, nil)
-	if err != nil {
+	if err := sweep.ExecuteShard(ctx, c, sh, fw, nil); err != nil {
 		s.failed.Add(1)
 		return
 	}
 	s.sweepShards.Add(1)
-	s.sweepShardCases.Add(int64(n))
+	s.sweepShardCases.Add(int64(sh.To - sh.From))
 }
 
 // ShardedSweep posts one shard job and copies the streamed shard

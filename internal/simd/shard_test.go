@@ -11,7 +11,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/hades"
@@ -48,7 +47,7 @@ func TestShardedSweepEndpointStreamsShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	var local bytes.Buffer
-	if _, err := sweep.ExecuteShard(context.Background(), c, sh, &local, nil); err != nil {
+	if err := sweep.ExecuteShard(context.Background(), c, sh, &local, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(remote.Bytes(), local.Bytes()) {
@@ -303,10 +302,9 @@ func TestFleetRoutesAroundDeadRemote(t *testing.T) {
 	}
 	fleet := []*simd.Client{live, simd.NewClient("http://127.0.0.1:1", nil)}
 	res, err := sweep.Run(context.Background(), c, sweep.Options{
-		OutDir:          t.TempDir(),
-		MaxFailures:     1,
-		Endpoints:       simd.Endpoints(fleet, 1),
-		BreakerCooldown: 10 * time.Second,
+		OutDir:      t.TempDir(),
+		MaxFailures: 1,
+		Endpoints:   simd.Endpoints(fleet, 1),
 	})
 	if err != nil {
 		t.Fatal(err)

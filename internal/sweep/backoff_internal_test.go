@@ -7,8 +7,8 @@ import (
 )
 
 // TestJitterBackoffBounds pins the decorrelated-jitter envelope:
-// every draw lands in [base, cap], and consecutive draws vary instead
-// of following a fixed multiplicative ladder.
+// every draw lands in [base, 10×base], and consecutive draws vary
+// instead of following a fixed multiplicative ladder.
 func TestJitterBackoffBounds(t *testing.T) {
 	r := &splitmix64{s: 12345}
 	base := 100 * time.Millisecond
@@ -16,7 +16,7 @@ func TestJitterBackoffBounds(t *testing.T) {
 	prev := base
 	distinct := map[time.Duration]bool{}
 	for i := 0; i < 1000; i++ {
-		d := jitterBackoff(r, base, prev, cap)
+		d := jitterBackoff(r, base, prev)
 		if d < base || d > cap {
 			t.Fatalf("draw %d: %v outside [%v, %v]", i, d, base, cap)
 		}
@@ -45,21 +45,21 @@ func TestSleepCtxCancelPrompt(t *testing.T) {
 	}
 }
 
-// TestBreakerLifecycle drives one epHealth through the circuit:
-// closed → open at the failure threshold, half-open after cooldown,
-// closed again on a successful probe, and straight back open on a
-// failed one.
+// TestBreakerLifecycle drives one epHealth through the two-state
+// circuit: closed → open at the failure threshold, closed again after
+// the cooldown but one failure short of the threshold, so the next
+// failure re-opens it at once, while a success clears the count.
 func TestBreakerLifecycle(t *testing.T) {
 	h := &epHealth{state: healthClosed}
 	now := time.Now()
 	cooldown := time.Minute
 
-	h.charge(now, 3, cooldown, false)
-	h.charge(now, 3, cooldown, false)
+	h.charge(now, cooldown)
+	h.charge(now, cooldown)
 	if h.state != healthClosed {
 		t.Fatalf("state %q after 2/3 failures, want closed", h.state)
 	}
-	h.charge(now, 3, cooldown, false)
+	h.charge(now, cooldown)
 	if h.state != healthOpen {
 		t.Fatalf("state %q after 3 consecutive failures, want open", h.state)
 	}
@@ -68,25 +68,27 @@ func TestBreakerLifecycle(t *testing.T) {
 	if h.state != healthOpen {
 		t.Fatalf("state %q mid-cooldown, want still open", h.state)
 	}
-	h.tick(now.Add(2 * time.Minute))
-	if h.state != healthHalfOpen {
-		t.Fatalf("state %q after cooldown, want half-open", h.state)
+	now = now.Add(2 * time.Minute)
+	h.tick(now)
+	if h.state != healthClosed || h.consecFails != breakerFailures-1 {
+		t.Fatalf("state %q consec=%d after cooldown, want closed/%d", h.state, h.consecFails, breakerFailures-1)
+	}
+	h.charge(now, cooldown)
+	if h.state != healthOpen {
+		t.Fatalf("state %q after a failure past the cooldown, want open again", h.state)
 	}
 
+	now = now.Add(2 * time.Minute)
+	h.tick(now)
 	h.credit(50 * time.Millisecond)
 	if h.state != healthClosed || h.consecFails != 0 {
-		t.Fatalf("state %q consec=%d after successful probe, want closed/0", h.state, h.consecFails)
+		t.Fatalf("state %q consec=%d after a success past the cooldown, want closed/0", h.state, h.consecFails)
 	}
 	if h.ewmaNS == 0 {
 		t.Fatal("success did not fold into the latency EWMA")
 	}
-
-	h.charge(now, 3, cooldown, false)
-	h.charge(now, 3, cooldown, false)
-	h.charge(now, 3, cooldown, false)
-	h.tick(now.Add(2 * time.Minute))
-	h.charge(now.Add(2*time.Minute), 3, cooldown, true)
-	if h.state != healthOpen {
-		t.Fatalf("state %q after failed half-open probe, want open again", h.state)
+	h.charge(now, cooldown)
+	if h.state != healthClosed {
+		t.Fatalf("state %q after one failure following a success, want closed", h.state)
 	}
 }

@@ -31,11 +31,9 @@ type Options struct {
 	// Retries is the extra attempts per shard beyond the first.
 	Retries int
 	// Backoff is the base wait before a retry (default 100ms). Actual
-	// waits use decorrelated jitter in [Backoff, BackoffCap] so
+	// waits use decorrelated jitter in [Backoff, 10×Backoff] so
 	// simultaneous failures spread out instead of retrying in lockstep.
 	Backoff time.Duration
-	// BackoffCap bounds the jittered retry backoff (default 10×Backoff).
-	BackoffCap time.Duration
 	// MaxFailures is the fail-fast budget: once this many shards have
 	// exhausted their retries, in-flight work is cancelled (default 1).
 	MaxFailures int
@@ -44,26 +42,19 @@ type Options struct {
 	// endpoint with Workers slots.
 	Worker Worker
 	// Endpoints, when set, spreads shards across independently
-	// health-tracked workers: each gets its own circuit breaker and
-	// latency EWMA, its Slots concurrent shards, and work-stealing /
-	// hedging move shards between them. Overrides Worker and Workers
-	// for execution.
+	// health-tracked workers: each gets its own circuit breaker (3
+	// consecutive failures open it for a jittered 500ms) and latency
+	// EWMA, its Slots concurrent shards, and work-stealing / hedging
+	// move shards between them. A running shard older than max(200ms,
+	// 3× the fleet latency EWMA) may be speculatively re-dispatched to
+	// another healthy endpoint, first valid shard file wins (hedging
+	// needs at least two endpoints). Overrides Worker and Workers for
+	// execution.
 	Endpoints []Endpoint
-	// HedgeMin floors the hedge age threshold (default 200ms): a running
-	// shard older than max(HedgeMin, 3× the fleet latency EWMA) may be
-	// speculatively re-dispatched to another healthy endpoint, first
-	// valid shard file wins (hedging needs at least two endpoints).
-	HedgeMin time.Duration
 	// ShardTimeout bounds a single shard attempt; 0 means unbounded.
 	// The safety net for a fleet whose every endpoint accepts work and
 	// hangs — hedging only rescues stragglers while someone completes.
 	ShardTimeout time.Duration
-	// BreakerFailures is the consecutive-failure count that opens an
-	// endpoint's circuit (default 3).
-	BreakerFailures int
-	// BreakerCooldown is how long an open circuit parks before letting
-	// a half-open probe shard through (default 500ms, jittered).
-	BreakerCooldown time.Duration
 	// Injector arms test-only chaos; it is handed to the default
 	// LocalWorker and drives the coordinator-side duplicate-shard fault.
 	Injector *Injector
@@ -218,13 +209,13 @@ func Run(ctx context.Context, c *Campaign, opts Options) (*Result, error) {
 			}
 		}
 	}
-	res.Stats = sweepStats(c, res, opts, d, len(queue), start)
+	res.Stats = sweepStats(c, res, d, len(queue), start)
 	if serr := writeStats(res); serr != nil {
 		return res, serr
 	}
 	if incomplete > 0 {
 		return res, fmt.Errorf("sweep: %s: %d of %d shards incomplete after %d worker(s); completed shards are preserved — re-run with resume to execute only the missing work",
-			c.Spec.Name, incomplete, len(shards), opts.Workers)
+			c.Spec.Name, incomplete, len(shards), res.Stats.Workers)
 	}
 
 	if err := merge(c, shards, opts); err != nil {
@@ -355,13 +346,12 @@ func writeStats(res *Result) error {
 	return f.Close()
 }
 
-func sweepStats(c *Campaign, res *Result, opts Options, d *dispatcher, executed int, start time.Time) api.SweepStats {
-	workers := opts.Workers
-	if len(opts.Endpoints) > 0 {
-		workers = 0
-		for _, ep := range d.eps {
-			workers += ep.Slots
-		}
+// sweepStats folds the pass into its sidecar record. Workers is the
+// fleet's slot total; a lone endpoint has Slots = Options.Workers.
+func sweepStats(c *Campaign, res *Result, d *dispatcher, executed int, start time.Time) api.SweepStats {
+	workers := 0
+	for _, ep := range d.eps {
+		workers += ep.Slots
 	}
 	s := api.SweepStats{
 		SchemaVersion:  api.SchemaVersion,

@@ -25,9 +25,8 @@ import (
 //     shard whose home endpoint has made its first take.
 //   - Each endpoint carries a circuit breaker (epHealth): consecutive
 //     failures open it, an open endpoint parks instead of taking work,
-//     and after a cooldown a single half-open probe shard decides
-//     whether it closes again.
-//   - A running shard whose age exceeds max(HedgeMin, hedgeFactor ×
+//     and after a cooldown it closes one failure short of re-opening.
+//   - A running shard whose age exceeds max(hedgeMin, hedgeFactor ×
 //     fleet latency EWMA) may be hedged: re-dispatched to a different
 //     healthy endpoint, at most maxHedges extra attempts at a time.
 //     Hedge attempts write to a side path and the first valid result
@@ -37,9 +36,11 @@ import (
 //     degrades to local execution rather than failing.
 
 // The hedging policy: the straggler multiple of the fleet latency
-// EWMA, and the extra attempts one shard may have in flight at once.
+// EWMA, the age floor below which no shard is a straggler, and the
+// extra attempts one shard may have in flight at once.
 const (
 	hedgeFactor = 3
+	hedgeMin    = 200 * time.Millisecond
 	maxHedges   = 1
 )
 
@@ -75,7 +76,6 @@ type attempt struct {
 	t      *task
 	ep     int
 	hedge  bool
-	probe  bool
 	path   string
 	start  time.Time
 	ctx    context.Context
@@ -96,14 +96,12 @@ type dispatcher struct {
 	tasks    []*task // FIFO by shard index; states live on the tasks
 
 	total        int
-	done, failed int
+	done, failed int // failed is also the fail-fast budget consumed
 
-	completions int
-	fleetEWMA   float64
-	casesDone   int
-	casesBase   int // cases covered by resumed (skipped) shards
+	fleetEWMA float64
+	casesDone int
+	casesBase int // cases covered by resumed (skipped) shards
 
-	failures  int // fail-fast budget consumed
 	retried   int
 	hedges    int
 	hedgesWon int
@@ -207,32 +205,18 @@ func (d *dispatcher) slotLoop(ep *epHealth) {
 				// Graceful degradation: every breaker is open, so parked
 				// slots drain the queue on the fallback worker.
 				if t := d.takePending(ep.index, now, true); t != nil {
-					at = d.newAttempt(t, -1, false, false)
+					at = d.newAttempt(t, -1, false)
 					d.fallbacks++
-					expAdd("fallbacks", 1)
 					break
 				}
 			}
 			d.waitUntil(ep.openUntil)
 			continue
-		case healthHalfOpen:
-			if ep.probing {
-				d.cond.Wait()
-				continue
-			}
-			t := d.takePending(ep.index, now, false)
-			if t == nil {
-				d.waitTimed(ep.index, now)
-				continue
-			}
-			ep.probing = true
-			ep.probes++
-			at = d.newAttempt(t, ep.index, false, true)
 		default: // closed
 			if t := d.takePending(ep.index, now, false); t != nil {
-				at = d.newAttempt(t, ep.index, false, false)
+				at = d.newAttempt(t, ep.index, false)
 			} else if t := d.takeHedge(ep.index, now); t != nil {
-				at = d.newAttempt(t, ep.index, true, false)
+				at = d.newAttempt(t, ep.index, true)
 			} else {
 				d.waitTimed(ep.index, now)
 				continue
@@ -299,25 +283,19 @@ func (d *dispatcher) allPoisoned(t *task) bool {
 
 // hedgeThreshold is the age past which a running shard counts as a
 // straggler. Before the first completion there is no EWMA baseline to
-// be slow against and the HedgeMin floor alone decides — which keeps
+// be slow against and the hedgeMin floor alone decides — which keeps
 // hedging live even when a blackholed endpoint swallows every shard
 // before anything finishes.
 func (d *dispatcher) hedgeThreshold() time.Duration {
-	min := d.opts.HedgeMin
-	if min <= 0 {
-		min = 200 * time.Millisecond
-	}
-	th := time.Duration(hedgeFactor * d.fleetEWMA)
-	if th < min {
-		th = min
-	}
-	return th
+	return max(time.Duration(hedgeFactor*d.fleetEWMA), hedgeMin)
 }
 
 // hedgeEligible reports whether epIdx could usefully hedge t: the task
 // is running somewhere else, has hedge budget, and hasn't already
 // failed here. Hedging onto the endpoint already running the shard
-// would duplicate the straggler, not route around it.
+// would duplicate the straggler, not route around it. With maxHedges
+// at 1, an eligible task has exactly one attempt in flight, so
+// t.running[0].start is its age reference.
 func (d *dispatcher) hedgeEligible(t *task, epIdx int) bool {
 	if t.state != taskRunning || len(t.running) == 0 {
 		return false
@@ -333,17 +311,6 @@ func (d *dispatcher) hedgeEligible(t *task, epIdx int) bool {
 	return true
 }
 
-// hedgeStart is the age reference for t: its oldest in-flight attempt.
-func hedgeStart(t *task) time.Time {
-	start := t.running[0].start
-	for _, a := range t.running[1:] {
-		if a.start.Before(start) {
-			start = a.start
-		}
-	}
-	return start
-}
-
 // takeHedge picks the longest-running straggler this endpoint may
 // speculatively re-execute, if any is past the hedge threshold.
 func (d *dispatcher) takeHedge(epIdx int, now time.Time) *task {
@@ -357,7 +324,7 @@ func (d *dispatcher) takeHedge(epIdx int, now time.Time) *task {
 		if !d.hedgeEligible(t, epIdx) {
 			continue
 		}
-		start := hedgeStart(t)
+		start := t.running[0].start
 		if now.Sub(start) < th {
 			continue
 		}
@@ -371,10 +338,10 @@ func (d *dispatcher) takeHedge(epIdx int, now time.Time) *task {
 
 // newAttempt registers a dispatch under the lock: the attempt context
 // exists before execution starts so a racing winner can cancel it.
-func (d *dispatcher) newAttempt(t *task, epIdx int, hedge, probe bool) *attempt {
+func (d *dispatcher) newAttempt(t *task, epIdx int, hedge bool) *attempt {
 	now := time.Now()
 	path := ShardPath(d.opts.OutDir, t.sh.Index)
-	at := &attempt{t: t, ep: epIdx, hedge: hedge, probe: probe, start: now}
+	at := &attempt{t: t, ep: epIdx, hedge: hedge, start: now}
 	if d.opts.ShardTimeout > 0 {
 		at.ctx, at.cancel = context.WithTimeout(d.ctx, d.opts.ShardTimeout)
 	} else {
@@ -388,7 +355,6 @@ func (d *dispatcher) newAttempt(t *task, epIdx int, hedge, probe bool) *attempt 
 		t.hedging++
 		t.st.Hedges++
 		d.hedges++
-		expAdd("hedges", 1)
 	}
 	at.path = path
 	if t.state == taskPending {
@@ -402,7 +368,6 @@ func (d *dispatcher) newAttempt(t *task, epIdx int, hedge, probe bool) *attempt 
 	if !hedge && epIdx >= 0 && epIdx != t.home && len(d.eps) > 1 {
 		t.st.Stolen = true
 		d.steals++
-		expAdd("steals", 1)
 	}
 	return at
 }
@@ -427,9 +392,6 @@ func (d *dispatcher) settle(at *attempt, info ShardInfo, runErr, inspErr error) 
 	var ep *epHealth
 	if at.ep >= 0 {
 		ep = d.eps[at.ep]
-	}
-	if at.probe && ep != nil {
-		ep.probing = false
 	}
 	if at.hedge {
 		t.hedging--
@@ -458,7 +420,6 @@ func (d *dispatcher) settle(at *attempt, info ShardInfo, runErr, inspErr error) 
 		t.state = taskDone
 		d.done++
 		d.casesDone += info.Cases
-		d.completions++
 		dur := now.Sub(at.start)
 		const alpha = 0.3
 		if d.fleetEWMA == 0 {
@@ -474,16 +435,14 @@ func (d *dispatcher) settle(at *attempt, info ShardInfo, runErr, inspErr error) 
 		t.st.Endpoint = d.endpointName(at)
 		t.st.Worker = d.workerFor(at).Name()
 		t.st.WallNS = now.Sub(t.dispatched).Nanoseconds()
-		expAdd("shards_done", 1)
 		if at.hedge {
 			d.hedgesWon++
 			t.st.HedgeWon = true
-			expAdd("hedges_won", 1)
 			// The hedge beat the primary — that endpoint is slow for this
 			// fleet right now. Losing the race is its health signal.
 			for _, a := range t.running {
 				if !a.hedge && a.ep >= 0 {
-					d.chargeEndpoint(d.eps[a.ep], now, a.probe)
+					d.chargeEndpoint(d.eps[a.ep], now)
 				}
 			}
 		}
@@ -519,12 +478,11 @@ func (d *dispatcher) settle(at *attempt, info ShardInfo, runErr, inspErr error) 
 		t.failedOn[at.ep] = true
 		t.st.Requeues++
 		d.requeues++
-		expAdd("requeues", 1)
-		d.chargeEndpoint(ep, now, at.probe)
+		d.chargeEndpoint(ep, now)
 	} else if ep != nil {
 		// Shard-attributed failures still count against health: an
 		// endpoint emitting torn files is as suspect as one timing out.
-		d.chargeEndpoint(ep, now, at.probe)
+		d.chargeEndpoint(ep, now)
 	}
 
 	if permanent {
@@ -547,8 +505,7 @@ func (d *dispatcher) settle(at *attempt, info ShardInfo, runErr, inspErr error) 
 	if t.retriesLeft > 0 && d.ctx.Err() == nil {
 		t.retriesLeft--
 		d.retried++
-		expAdd("retries", 1)
-		t.prevBackoff = jitterBackoff(&d.rng, d.opts.Backoff, t.prevBackoff, d.opts.BackoffCap)
+		t.prevBackoff = jitterBackoff(&d.rng, d.opts.Backoff, t.prevBackoff)
 		t.notBefore = now.Add(t.prevBackoff)
 		t.state = taskPending
 		return
@@ -568,24 +525,15 @@ func (d *dispatcher) fail(t *task, err error, now time.Time) {
 	if !t.dispatched.IsZero() {
 		t.st.WallNS = now.Sub(t.dispatched).Nanoseconds()
 	}
-	d.failures++
-	if d.failures >= d.opts.MaxFailures {
+	if d.failed >= d.opts.MaxFailures {
 		d.cancel()
 	}
 }
 
 // chargeEndpoint records a failure against ep's breaker with a
-// jittered cooldown, so a fleet's breakers don't re-probe in lockstep.
-func (d *dispatcher) chargeEndpoint(ep *epHealth, now time.Time, probe bool) {
-	if ep == nil {
-		return
-	}
-	cooldown := d.opts.BreakerCooldown
-	if cooldown <= 0 {
-		cooldown = 500 * time.Millisecond
-	}
-	cooldown = cooldown/2 + time.Duration(d.rng.float01()*float64(cooldown))
-	ep.charge(now, breakerFailures(d.opts.BreakerFailures), cooldown, probe)
+// jittered cooldown, so a fleet's breakers don't close in lockstep.
+func (d *dispatcher) chargeEndpoint(ep *epHealth, now time.Time) {
+	ep.charge(now, breakerCooldown/2+time.Duration(d.rng.float01()*float64(breakerCooldown)))
 }
 
 // allOpen reports whether every endpoint's breaker is open — the
@@ -632,7 +580,7 @@ func (d *dispatcher) waitTimed(epIdx int, now time.Time) {
 			consider(t.notBefore)
 		case taskRunning:
 			if canHedge && d.hedgeEligible(t, epIdx) {
-				consider(hedgeStart(t).Add(th))
+				consider(t.running[0].start.Add(th))
 			}
 		}
 	}

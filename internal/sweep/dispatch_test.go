@@ -70,8 +70,6 @@ func TestChaosMatrixFleet(t *testing.T) {
 					{Worker: &sweep.LocalWorker{Injector: flaky}, Name: "flaky", Slots: slots},
 					{Worker: &sweep.LocalWorker{Injector: hole}, Name: "hole", Slots: slots},
 				},
-				HedgeMin:        20 * time.Millisecond,
-				BreakerCooldown: 50 * time.Millisecond,
 			})
 			if got := readOut(t, res); !bytes.Equal(got, want) {
 				t.Fatal("chaos fleet merge differs from single-process run")
@@ -119,7 +117,6 @@ func TestRouteAroundDeadEndpoint(t *testing.T) {
 			{Worker: &sweep.LocalWorker{}, Name: "good"},
 			{Worker: &downWorker{}, Name: "dead"},
 		},
-		BreakerCooldown: 10 * time.Second,
 	})
 	if got := readOut(t, res); !bytes.Equal(got, want) {
 		t.Fatal("merge with dead endpoint differs from single-process run")
@@ -139,11 +136,12 @@ func TestRouteAroundDeadEndpoint(t *testing.T) {
 
 // TestFallbackWhenFleetQuarantined pins graceful degradation: with
 // every endpoint open-circuit, parked slots drain the queue on the
-// local fallback worker instead of failing the campaign.
+// local fallback worker instead of failing the campaign. Each down
+// endpoint fails its three home shards, which opens its breaker.
 func TestFallbackWhenFleetQuarantined(t *testing.T) {
 	spec := scenarioSpec(41, 6)
 	want := singleProcessBytes(t, spec)
-	c := mustLoad(t, sweep.WrapScenario(spec, 3))
+	c := mustLoad(t, sweep.WrapScenario(spec, 6))
 	res := runCoordinator(t, c, sweep.Options{
 		OutDir:      t.TempDir(),
 		MaxFailures: 1,
@@ -151,14 +149,12 @@ func TestFallbackWhenFleetQuarantined(t *testing.T) {
 			{Worker: &downWorker{}, Name: "down-a"},
 			{Worker: &downWorker{}, Name: "down-b"},
 		},
-		BreakerFailures: 1,
-		BreakerCooldown: time.Minute,
 	})
 	if got := readOut(t, res); !bytes.Equal(got, want) {
 		t.Fatal("fallback merge differs from single-process run")
 	}
-	if res.Stats.Fallbacks != 3 {
-		t.Errorf("fallbacks=%d, want every shard (3) to run on the local fallback", res.Stats.Fallbacks)
+	if res.Stats.Fallbacks != 6 {
+		t.Errorf("fallbacks=%d, want every shard (6) to run on the local fallback", res.Stats.Fallbacks)
 	}
 	for _, wh := range res.Stats.WorkerHealth {
 		if wh.State != "open" {
@@ -217,7 +213,6 @@ func TestCancelDuringBackoffReturnsPromptly(t *testing.T) {
 		Workers:     1,
 		Retries:     3,
 		Backoff:     30 * time.Second,
-		BackoffCap:  60 * time.Second,
 		MaxFailures: 10,
 		Worker:      &crashWorker{},
 	})
@@ -285,15 +280,15 @@ func TestParseFaultsExtended(t *testing.T) {
 }
 
 // TestSlowEndpointStillMerges runs a fleet with one injected-latency
-// straggler: the campaign completes and merges identically, with the
-// slow worker's shards eligible for hedging rather than stalling the
-// pass.
+// straggler, slower than the 200ms hedge floor: the campaign completes
+// and merges identically, with the slow worker's shards hedged rather
+// than stalling the pass.
 func TestSlowEndpointStillMerges(t *testing.T) {
 	spec := scenarioSpec(79, 8)
 	want := singleProcessBytes(t, spec)
 	slow := sweep.NewInjector()
 	slow.Slow = sweep.AnyShard
-	slow.SlowDelay = 80 * time.Millisecond
+	slow.SlowDelay = 300 * time.Millisecond
 	c := mustLoad(t, sweep.WrapScenario(spec, 4))
 	res := runCoordinator(t, c, sweep.Options{
 		OutDir:      t.TempDir(),
@@ -302,9 +297,69 @@ func TestSlowEndpointStillMerges(t *testing.T) {
 			{Worker: &sweep.LocalWorker{}, Name: "fast", Slots: 2},
 			{Worker: &sweep.LocalWorker{Injector: slow}, Name: "slow", Slots: 2},
 		},
-		HedgeMin: 10 * time.Millisecond,
 	})
 	if got := readOut(t, res); !bytes.Equal(got, want) {
 		t.Fatal("slow-endpoint merge differs from single-process run")
+	}
+	if res.Stats.Hedges == 0 {
+		t.Error("hedges=0, want the slow endpoint's shards hedged")
+	}
+}
+
+// TestQuarantinedEndpointRecovers pins the breaker's way back: an
+// endpoint that fails three times in a row is quarantined, and once
+// its cooldown ends it takes work again and ends healthy, while the
+// campaign merges byte-identically. The good endpoint is paced so the
+// campaign outlasts the longest cooldown.
+func TestQuarantinedEndpointRecovers(t *testing.T) {
+	spec := scenarioSpec(107, 16)
+	want := singleProcessBytes(t, spec)
+	pace, err := sweep.ParseFaults("slow:*:150")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky, err := sweep.ParseFaults("flaky:*:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustLoad(t, sweep.WrapScenario(spec, 16))
+	res := runCoordinator(t, c, sweep.Options{
+		OutDir:      t.TempDir(),
+		MaxFailures: 1,
+		Endpoints: []sweep.Endpoint{
+			{Worker: &sweep.LocalWorker{Injector: pace}, Name: "good"},
+			{Worker: &sweep.LocalWorker{Injector: flaky}, Name: "flaky"},
+		},
+	})
+	if got := readOut(t, res); !bytes.Equal(got, want) {
+		t.Fatal("merge with a recovering endpoint differs from single-process run")
+	}
+	wh := res.Stats.WorkerHealth
+	if len(wh) != 2 || wh[1].Name != "flaky" {
+		t.Fatalf("worker health %+v, want good then flaky", wh)
+	}
+	if wh[1].State != "healthy" || wh[1].Failures != 3 || wh[1].Successes < 1 {
+		t.Errorf("flaky endpoint ended %+v, want healthy with 3 failures and at least 1 success", wh[1])
+	}
+}
+
+// TestFailingFleetReportsSlotTotal pins the incomplete-pass report of
+// a fleet: the error and the stats sidecar both count the fleet's
+// slots, not Options.Workers.
+func TestFailingFleetReportsSlotTotal(t *testing.T) {
+	c := mustLoad(t, sweep.WrapScenario(scenarioSpec(109, 4), 2))
+	res, err := sweep.Run(context.Background(), c, sweep.Options{
+		OutDir:      t.TempDir(),
+		MaxFailures: 1,
+		Endpoints: []sweep.Endpoint{
+			{Worker: &rejectWorker{}, Name: "reject-a", Slots: 2},
+			{Worker: &rejectWorker{}, Name: "reject-b", Slots: 2},
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "incomplete after 4 worker(s)") {
+		t.Fatalf("err=%v, want an incomplete-pass error counting the fleet's 4 slots", err)
+	}
+	if res.Stats.Workers != 4 {
+		t.Errorf("stats workers=%d, want 4", res.Stats.Workers)
 	}
 }

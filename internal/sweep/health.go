@@ -26,15 +26,21 @@ type Endpoint struct {
 
 // Breaker states, as reported in api.WorkerHealth.State.
 const (
-	healthClosed   = "healthy"
-	healthOpen     = "open"
-	healthHalfOpen = "half-open"
+	healthClosed = "healthy"
+	healthOpen   = "open"
 )
 
-// epHealth is the dispatcher-side health record for one endpoint:
-// a consecutive-failure circuit breaker with half-open probe shards,
-// plus a latency EWMA over successful attempts. All fields are guarded
-// by the dispatcher's mutex.
+// The breaker policy: consecutive failures that open an endpoint's
+// circuit, and the mean of the jittered cooldown it then parks for.
+const (
+	breakerFailures = 3
+	breakerCooldown = 500 * time.Millisecond
+)
+
+// epHealth is the dispatcher-side health record for one endpoint: a
+// two-state consecutive-failure circuit breaker plus a latency EWMA
+// over successful attempts. All fields are guarded by the dispatcher's
+// mutex.
 type epHealth struct {
 	Endpoint
 	index int
@@ -43,32 +49,24 @@ type epHealth struct {
 	consecFails int
 	failures    int64
 	successes   int64
-	probes      int64
 	ewmaNS      float64
 	openUntil   time.Time
-	probing     bool // a half-open probe shard is in flight
 	started     bool // made its first take; its home shards may be stolen
 }
 
 // charge records a failed attempt: consecutive failures reaching the
-// threshold trip the breaker open, and a failed half-open probe
-// re-opens it immediately.
-func (h *epHealth) charge(now time.Time, threshold int, cooldown time.Duration, probe bool) {
+// threshold trip the breaker open for cooldown.
+func (h *epHealth) charge(now time.Time, cooldown time.Duration) {
 	h.failures++
 	h.consecFails++
-	if probe || h.state == healthHalfOpen {
-		h.state = healthOpen
-		h.openUntil = now.Add(cooldown)
-		return
-	}
-	if h.state == healthClosed && h.consecFails >= threshold {
+	if h.state == healthClosed && h.consecFails >= breakerFailures {
 		h.state = healthOpen
 		h.openUntil = now.Add(cooldown)
 	}
 }
 
 // credit records a successful attempt and folds its wall time into the
-// latency EWMA; a successful half-open probe closes the breaker.
+// latency EWMA.
 func (h *epHealth) credit(d time.Duration) {
 	h.successes++
 	h.consecFails = 0
@@ -81,11 +79,13 @@ func (h *epHealth) credit(d time.Duration) {
 	}
 }
 
-// tick advances an open breaker whose cooldown has elapsed into
-// half-open, where a single probe shard is allowed through.
+// tick closes an open breaker whose cooldown has elapsed, one failure
+// short of the threshold: the endpoint takes work again, and its next
+// failure re-opens it at once while a success clears the count.
 func (h *epHealth) tick(now time.Time) {
 	if h.state == healthOpen && !now.Before(h.openUntil) {
-		h.state = healthHalfOpen
+		h.state = healthClosed
+		h.consecFails = breakerFailures - 1
 	}
 }
 
@@ -98,16 +98,7 @@ func (h *epHealth) snapshot() api.WorkerHealth {
 		Failures:            h.failures,
 		Successes:           h.successes,
 		LatencyEWMANS:       int64(h.ewmaNS),
-		Probes:              h.probes,
 	}
-}
-
-// breakerFailures resolves the consecutive-failure threshold.
-func breakerFailures(configured int) int {
-	if configured > 0 {
-		return configured
-	}
-	return 3
 }
 
 // splitmix64 is a tiny deterministic PRNG for backoff jitter and
@@ -133,24 +124,22 @@ func (r *splitmix64) float01() float64 {
 	return float64(r.next()>>11) / (1 << 53)
 }
 
+// backoffCapFactor caps a retry's jittered backoff at this multiple of
+// Options.Backoff.
+const backoffCapFactor = 10
+
 // jitterBackoff implements decorrelated jitter: each wait is drawn
-// from [base, 3*prev), capped — simultaneous failures spread out
-// instead of resynchronizing their retries the way fixed
-// multiplicative backoff does.
-func jitterBackoff(r *splitmix64, base, prev, cap time.Duration) time.Duration {
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
+// from [base, 3*prev), capped at backoffCapFactor*base — simultaneous
+// failures spread out instead of resynchronizing their retries the way
+// fixed multiplicative backoff does.
+func jitterBackoff(r *splitmix64, base, prev time.Duration) time.Duration {
 	if prev < base {
 		prev = base
 	}
-	if cap < base {
-		cap = 10 * base
-	}
 	span := 3*prev - base
 	d := base + time.Duration(r.float01()*float64(span))
-	if d > cap {
-		d = cap
+	if limit := backoffCapFactor * base; d > limit {
+		d = limit
 	}
 	return d
 }

@@ -2,9 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
-	"expvar"
 	"net/http"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/api"
@@ -52,27 +50,4 @@ func (t *ProgressTracker) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(p)
 	})
-}
-
-// Expvar counters: process-wide monotonic dispatch totals published
-// under the "sweep" map, so a coordinator embedded next to a simd
-// server shares one /debug/vars page with its /statsz counters.
-// Registered lazily and exactly once — expvar panics on duplicates.
-var (
-	expOnce sync.Once
-	expMap  *expvar.Map
-)
-
-func sweepVars() *expvar.Map {
-	expOnce.Do(func() {
-		expMap = expvar.NewMap("sweep")
-	})
-	return expMap
-}
-
-// expAdd bumps one counter in the shared "sweep" expvar map.
-func expAdd(name string, delta int64) {
-	if delta != 0 {
-		sweepVars().Add(name, delta)
-	}
 }

@@ -2,7 +2,6 @@ package sweep_test
 
 import (
 	"encoding/json"
-	"expvar"
 	"net/http/httptest"
 	"testing"
 
@@ -62,10 +61,6 @@ func TestProgressSnapshotsAndHandler(t *testing.T) {
 	}
 	if served.Campaign != c.Spec.Name || served.Done != 3 {
 		t.Errorf("served snapshot %+v, want campaign %q complete", served, c.Spec.Name)
-	}
-
-	if expvar.Get("sweep") == nil {
-		t.Error("expvar map \"sweep\" not registered after a coordinator pass")
 	}
 }
 

@@ -47,41 +47,39 @@ var newline = []byte{'\n'}
 // ExecuteShard runs shard sh of the campaign and streams its shard
 // records to w: the shard header, one trace-case line per case in
 // index order, and the footer with the case count and line digest.
-// Returns the number of cases executed (even on error — the resume
-// economics counter). The injector, if non-nil, may kill the execution
-// mid-shard; a nil injector runs clean.
-func ExecuteShard(ctx context.Context, c *Campaign, sh Shard, w io.Writer, inj *Injector) (int, error) {
-	executed := 0
+// The injector, if non-nil, may kill the execution mid-shard; a nil
+// injector runs clean.
+func ExecuteShard(ctx context.Context, c *Campaign, sh Shard, w io.Writer, inj *Injector) error {
 	if inj.flakyFires(sh.Index) {
 		// A flaky worker fails before writing anything — the signature of
 		// a refused connection, attributed to the endpoint, not the shard.
-		return executed, EndpointFault(fmt.Errorf("sweep: shard %d: injected flaky failure", sh.Index))
+		return EndpointFault(fmt.Errorf("sweep: shard %d: injected flaky failure", sh.Index))
 	}
 	runs, err := c.MaterializeRange(sh.From, sh.To)
 	if err != nil {
-		return executed, err
+		return err
 	}
 	ex, err := scenario.NewExecutor(scenario.Options{Backend: c.Backend, Width: c.Width})
 	if err != nil {
-		return executed, err
+		return err
 	}
 	hdr, err := json.Marshal(c.ShardHeader(sh))
 	if err != nil {
-		return executed, err
+		return err
 	}
 	if _, err := w.Write(append(hdr, '\n')); err != nil {
-		return executed, fmt.Errorf("sweep: write shard %d: %w", sh.Index, err)
+		return fmt.Errorf("sweep: write shard %d: %w", sh.Index, err)
 	}
 	if inj.blackholesShard(sh.Index) {
 		// Accept-then-hang: the header is written (the work was accepted)
 		// and then nothing happens until the attempt is cancelled — by a
 		// winning hedge, a shard timeout, or the pass ending.
 		<-ctx.Done()
-		return executed, EndpointFault(fmt.Errorf("sweep: shard %d: blackholed: %w", sh.Index, ctx.Err()))
+		return EndpointFault(fmt.Errorf("sweep: shard %d: blackholed: %w", sh.Index, ctx.Err()))
 	}
 	if d := inj.slowsShard(sh.Index); d > 0 {
 		if !sleepCtx(ctx, d) {
-			return executed, ctx.Err()
+			return ctx.Err()
 		}
 	}
 	digest := fnv.New64a()
@@ -95,21 +93,20 @@ func ExecuteShard(ctx context.Context, c *Campaign, sh Shard, w io.Writer, inj *
 			// process here; in-process execution returns an error, leaving
 			// the file torn (no footer) exactly like a killed worker would.
 			inj.exit(FaultExitCode)
-			return executed, fmt.Errorf("sweep: shard %d: injected kill after %d/%d cases", sh.Index, i, len(runs))
+			return fmt.Errorf("sweep: shard %d: injected kill after %d/%d cases", sh.Index, i, len(runs))
 		}
 		rec, err := ex.Execute(ctx, cr)
 		if err != nil {
-			return executed, fmt.Errorf("sweep: shard %d: case %d (%s,%s): %w", sh.Index, cr.Index, cr.Family, cr.Params, err)
+			return fmt.Errorf("sweep: shard %d: case %d (%s,%s): %w", sh.Index, cr.Index, cr.Family, cr.Params, err)
 		}
-		executed++
 		line, err := json.Marshal(rec)
 		if err != nil {
-			return executed, err
+			return err
 		}
 		line = append(line, '\n')
 		digest.Write(line)
 		if _, err := w.Write(line); err != nil {
-			return executed, fmt.Errorf("sweep: write shard %d: %w", sh.Index, err)
+			return fmt.Errorf("sweep: write shard %d: %w", sh.Index, err)
 		}
 	}
 	ftr, err := json.Marshal(api.ShardResult{
@@ -120,12 +117,12 @@ func ExecuteShard(ctx context.Context, c *Campaign, sh Shard, w io.Writer, inj *
 		Digest:        fmt.Sprintf("%016x", digest.Sum64()),
 	})
 	if err != nil {
-		return executed, err
+		return err
 	}
 	if _, err := w.Write(append(ftr, '\n')); err != nil {
-		return executed, fmt.Errorf("sweep: write shard %d: %w", sh.Index, err)
+		return fmt.Errorf("sweep: write shard %d: %w", sh.Index, err)
 	}
-	return executed, nil
+	return nil
 }
 
 // ExecuteShardFile executes shard sh into path: the shared body of the
@@ -141,7 +138,7 @@ func ExecuteShardFile(ctx context.Context, c *Campaign, sh Shard, path string, i
 		return fmt.Errorf("sweep: %w", err)
 	}
 	bw := bufio.NewWriter(f)
-	_, err = ExecuteShard(ctx, c, sh, bw, inj)
+	err = ExecuteShard(ctx, c, sh, bw, inj)
 	if ferr := bw.Flush(); err == nil && ferr != nil {
 		err = fmt.Errorf("sweep: write shard %d: %w", sh.Index, ferr)
 	}

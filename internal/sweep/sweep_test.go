@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/api"
@@ -114,6 +116,43 @@ func TestMergedCampaignReplays(t *testing.T) {
 	}
 	if diffs := scenario.CompareTraces(tr.Cases, rep.Cases, true); len(diffs) > 0 {
 		t.Fatalf("merged campaign does not replay bit-identically: %v", diffs)
+	}
+}
+
+// TestMergeDirMatchesCoordinator pins the merge-only pass: over a
+// finished out-dir it writes the coordinator's merged bytes, and a
+// torn shard aborts it, named with its state, leaving no output file.
+func TestMergeDirMatchesCoordinator(t *testing.T) {
+	c := mustLoad(t, sweep.WrapScenario(scenarioSpec(5, 6), 3))
+	dir := t.TempDir()
+	res := runCoordinator(t, c, sweep.Options{Workers: 2, OutDir: dir})
+	out := filepath.Join(t.TempDir(), "remerged.jsonl")
+	if err := sweep.MergeDir(c, dir, out); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, readOut(t, res)) {
+		t.Fatal("merge-only pass differs from the coordinator's merged file")
+	}
+
+	path := sweep.ShardPath(dir, 1)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(t.TempDir(), "torn.jsonl")
+	err = sweep.MergeDir(c, dir, torn)
+	if err == nil || !strings.Contains(err.Error(), "shard 1 is torn") {
+		t.Fatalf("merge over a torn shard: err=%v, want it to name shard 1 as torn", err)
+	}
+	if _, err := os.Stat(torn); !os.IsNotExist(err) {
+		t.Errorf("merge over a torn shard left an output file (stat: %v)", err)
 	}
 }
 

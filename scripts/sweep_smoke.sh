@@ -3,8 +3,9 @@
 # run a single-shard reference campaign, run the same campaign sharded
 # across subprocess workers with a kill injected mid-shard (the pass
 # must fail and preserve its completed shards), resume it, and assert
-# the merged file is byte-identical to the reference and replays
-# bit-identically. Run via `make sweep-smoke`.
+# the merged file is byte-identical to the reference, replays
+# bit-identically, and is reproduced by a merge-only pass over the
+# finished shard directory. Run via `make sweep-smoke`.
 set -eu
 
 WORKDIR="$(mktemp -d)"
@@ -33,6 +34,10 @@ echo "== resume: only the lost shards re-execute =="
 
 echo "== merged campaign is byte-identical to the single-shard reference =="
 cmp "$WORKDIR/ref/campaign.jsonl" "$WORKDIR/camp/campaign.jsonl"
+
+echo "== merge-only pass over the finished shards writes the same bytes =="
+"$WORKDIR/testsuite" sweep merge -out-dir "$WORKDIR/camp" -out "$WORKDIR/remerged.jsonl"
+cmp "$WORKDIR/ref/campaign.jsonl" "$WORKDIR/remerged.jsonl"
 
 echo "== merged campaign replays bit-identically =="
 go run ./cmd/testsuite -replay "$WORKDIR/camp/campaign.jsonl" | grep -q "replay matches the recorded trace"
