@@ -48,8 +48,9 @@ simd:
 	mkdir -p bin
 	$(GO) build -o bin/simd ./cmd/simd
 
-# smoke drives a freshly built simd server over HTTP: verify + pooled
-# sweep via curl, /statsz shape, SIGTERM drain. Mirrors the CI smoke job.
+# smoke drives a freshly built simd server over HTTP: a verify and a
+# pooled 4-round verify via curl, /statsz shape, SIGTERM drain. Mirrors
+# the CI smoke job.
 smoke:
 	sh scripts/simd_smoke.sh
 

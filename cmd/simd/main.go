@@ -1,12 +1,11 @@
 // Command simd serves the verification flow over HTTP:
 // simulation-as-a-service on a pool of prepared designs, so repeated
-// verify/sweep/bench requests for the same workload instance
-// reset-and-replay a cached session instead of re-elaborating.
+// verify/bench requests for the same workload instance reset-and-replay
+// a cached session instead of re-elaborating.
 //
 // Endpoints (see docs/SERVER.md for the protocol tour):
 //
-//	POST /v1/verify         one verified round per requested round
-//	POST /v1/sweep          N verified reset-and-replay rounds
+//	POST /v1/verify         N verified rounds (default 1)
 //	POST /v1/bench          N unverified rounds, for throughput
 //	POST /v1/sweep/sharded  one shard of a sharded campaign
 //	GET  /v1/backends       simulator-backend catalog and default

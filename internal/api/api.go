@@ -115,12 +115,11 @@ type BenchResult struct {
 
 // The request kinds the simd server executes.
 const (
-	// KindVerify runs one compile-elaborate-simulate-verify round per
-	// requested round and reports pass/fail against the golden models.
+	// KindVerify runs the requested rounds on the pooled prepared
+	// design — the first one pays compile and elaborate on a pool miss,
+	// every later one is a reset-and-replay — and verifies each against
+	// the golden models.
 	KindVerify = "verify"
-	// KindSweep is a verify sweep: N reset-and-replay rounds on the
-	// pooled prepared design, each verified.
-	KindSweep = "sweep"
 	// KindBench is a timed sweep: N rounds with no verification, for
 	// throughput measurement on a pooled session.
 	KindBench = "bench"
@@ -128,8 +127,8 @@ const (
 
 // Request is the one serializable request shape of the simd server: a
 // workload selector plus execution knobs. The same JSON object works
-// against /v1/verify, /v1/sweep and /v1/bench (the endpoint fixes Kind;
-// a non-empty body Kind must agree with the endpoint).
+// against /v1/verify and /v1/bench (the endpoint fixes Kind; a
+// non-empty body Kind must agree with the endpoint).
 //
 // Workload accepts either a bare family name ("hamming") with Params
 // supplying parameters, or the CLI's inline spec syntax
@@ -173,7 +172,7 @@ func (r Request) Validate() error {
 		return fmt.Errorf("api: negative rounds %d", r.Rounds)
 	}
 	switch r.Kind {
-	case "", KindVerify, KindSweep, KindBench:
+	case "", KindVerify, KindBench:
 		return nil
 	}
 	return fmt.Errorf("api: unknown request kind %q", r.Kind)
@@ -227,7 +226,7 @@ type RunRecord struct {
 	Configs       uint64         `json:"configs,omitempty"`
 	EventsPerSec  float64        `json:"events_per_sec,omitempty"`
 	ConfigsPerSec float64        `json:"configs_per_sec,omitempty"`
-	Verified      bool           `json:"verified,omitempty"` // a verdict was computed (verify/sweep)
+	Verified      bool           `json:"verified,omitempty"` // a verdict was computed (verify)
 	Passed        bool           `json:"passed,omitempty"`
 	Mismatches    map[string]int `json:"mismatches,omitempty"`
 	PoolHit       bool           `json:"pool_hit,omitempty"` // request reused a pooled session

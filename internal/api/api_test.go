@@ -132,7 +132,7 @@ func TestRunRecordRoundTrip(t *testing.T) {
 		},
 		{
 			SchemaVersion: SchemaVersion, Record: RecordSummary,
-			Kind: KindSweep, Workload: "hamming", Params: "seed=1,words=8",
+			Kind: KindVerify, Workload: "hamming", Params: "seed=1,words=8",
 			Backend: "twolevel", Rounds: 4, Configs: 4, Events: 16384,
 			WallNS: 4e6, EventsPerSec: 4096e3, ConfigsPerSec: 1e3,
 			Verified: true, Passed: true, PoolHit: true,

@@ -193,11 +193,3 @@ func backendCatalogLocked() string {
 	}
 	return strings.Join(parts, "; ")
 }
-
-// BackendDesc returns the description of a registered backend ("" when
-// unknown).
-func BackendDesc(name string) string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	return backends[name].Desc
-}

@@ -94,23 +94,6 @@ func (p *Pipeline) PrepareDesign(design *xmlspec.Design) (*PreparedDesign, error
 	return &PreparedDesign{p: p, name: e.Name, elab: e, seeds: map[string][]int64{}}, nil
 }
 
-// PrepareDesignContext is PrepareDesign under a per-call cancellation
-// context, with the same detachment semantics as PrepareContext.
-func (p *Pipeline) PrepareDesignContext(ctx context.Context, design *xmlspec.Design) (*PreparedDesign, error) {
-	if ctx == nil {
-		return p.PrepareDesign(design)
-	}
-	pc := *p
-	pc.cfg.Context = ctx
-	d, err := pc.PrepareDesign(design)
-	if err != nil {
-		return nil, err
-	}
-	d.p = p
-	d.elab.Controller.SetContext(p.cfg.Context)
-	return d, nil
-}
-
 // Name returns the prepared case or design name.
 func (d *PreparedDesign) Name() string { return d.name }
 

@@ -84,10 +84,6 @@ func NewSession(key PoolKey, d *PreparedDesign, maxInFlight int) *Session {
 // Key returns the pool key the session was created under.
 func (s *Session) Key() PoolKey { return s.key }
 
-// Design exposes the underlying prepared design (for reseeding via
-// SetSeed before admission-controlled rounds).
-func (s *Session) Design() *PreparedDesign { return s.d }
-
 // InFlight reports how many rounds currently hold a slot.
 func (s *Session) InFlight() int { return len(s.slots) }
 

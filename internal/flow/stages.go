@@ -250,13 +250,6 @@ func (p *Pipeline) Simulate(e *Elaborated) (*SimResult, error) {
 	return p.simulateCtx(e, nil)
 }
 
-// SimulateContext is Simulate under a per-run cancellation context,
-// overriding the pipeline's configured context for this walk only (the
-// session shape: one long-lived design, per-request deadlines).
-func (p *Pipeline) SimulateContext(ctx context.Context, e *Elaborated) (*SimResult, error) {
-	return p.simulateCtx(e, ctx)
-}
-
 func (p *Pipeline) simulateCtx(e *Elaborated, ctx context.Context) (*SimResult, error) {
 	out := &SimResult{Memories: map[string][]int64{}, Artifacts: map[string]string{}}
 	err := p.observeStage(StageSimulate, e.Name, func() error {

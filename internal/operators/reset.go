@@ -33,10 +33,9 @@ func (r *Register) ResetState(sim *hades.Simulator, _ []int64) {
 }
 
 // ResetState reloads the memory from init (zero-filling the tail, as a
-// fresh build does) and clears the access counters and edge tracker.
+// fresh build does) and clears the edge tracker.
 func (m *RAM) ResetState(_ *hades.Simulator, init []int64) {
 	m.prevClk = false
-	m.reads, m.writes = 0, 0
 	m.LoadContents(init)
 }
 

@@ -56,8 +56,6 @@ type RAM struct {
 	we      *hades.Signal
 	dout    *hades.Signal
 	prevClk bool
-	writes  uint64
-	reads   uint64
 }
 
 // Name returns the instance name.
@@ -115,10 +113,6 @@ func (m *RAM) LoadContents(words []int64) {
 	}
 }
 
-// Accesses returns the read and write counts (address-change reads are
-// counted per combinational read update).
-func (m *RAM) Accesses() (reads, writes uint64) { return m.reads, m.writes }
-
 // React performs the synchronous write on rising clock edges and keeps the
 // asynchronous read output coherent with the address input. An address
 // at or past the depth — compared unsigned, so a negative word counts —
@@ -127,7 +121,6 @@ func (m *RAM) React(sim *hades.Simulator) {
 	if hades.RisingEdge(m.clk, &m.prevClk) && m.we.Bool() && m.addr.Valid() && m.din.Valid() {
 		if a := m.addr.Uint(); a < uint64(len(m.mem)) {
 			m.mem[a] = hades.Mask(m.din.Uint(), m.width)
-			m.writes++
 		}
 	}
 	m.updateRead(sim)
@@ -141,7 +134,6 @@ func (m *RAM) updateRead(sim *hades.Simulator) {
 	if a >= uint64(len(m.mem)) {
 		return
 	}
-	m.reads++
 	sim.Set(m.dout, hades.SignExtend(m.mem[a], m.width), 0)
 }
 
@@ -199,9 +191,6 @@ type Stimulus struct {
 
 // Name returns the instance name.
 func (s *Stimulus) Name() string { return s.name }
-
-// Position returns how many words have been issued.
-func (s *Stimulus) Position() int { return s.pos }
 
 // React advances the stream on rising edges.
 func (s *Stimulus) React(sim *hades.Simulator) {

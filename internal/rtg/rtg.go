@@ -57,7 +57,8 @@ type Options struct {
 	// hades.NewSimulator, reported as the twolevel kernel. A
 	// CycleEngine switches the controller to compiled clock-by-clock
 	// execution: configurations are levelized once and replayed with no
-	// event queue, and ExecuteGang runs them in lockstep across lanes.
+	// event queue, and ExecuteGangContext runs them in lockstep across
+	// lanes.
 	Engine Engine
 	// LocalInit seeds non-shared memories/stimuli per configuration id
 	// and operator id (contents typically come from the I/O files).
@@ -515,12 +516,6 @@ func (c *Controller) laneRunRecord(ce CycleEngine, cfgID string, inst ConfigInst
 type GangLane struct {
 	Exec     ExecResult
 	Memories map[string][]int64
-}
-
-// ExecuteGang is ExecuteGangContext with the controller's configured
-// context.
-func (c *Controller) ExecuteGang(laneSeeds []map[string][]int64) ([]GangLane, error) {
-	return c.ExecuteGangContext(nil, laneSeeds)
 }
 
 // ExecuteGangContext walks the RTG once for a whole population of

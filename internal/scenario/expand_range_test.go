@@ -74,9 +74,10 @@ func TestExpandRangeBounds(t *testing.T) {
 }
 
 // TestExecutorShardedMatchesRun drives the same scenario once through
-// Run and once as two executor-driven shards, and requires the shard
-// path to reproduce Run's case records byte-for-byte and its summary
-// via Summarize — the contract the sweep merge is built on.
+// Run and once as two shards, each a Stream over its ExpandRange, and
+// requires the shard path to reproduce Run's case records and lines
+// byte-for-byte and its summary via Summarize — the contract the sweep
+// merge is built on.
 func TestExecutorShardedMatchesRun(t *testing.T) {
 	sc, err := Load(validSpec(), nil)
 	if err != nil {
@@ -89,26 +90,21 @@ func TestExecutorShardedMatchesRun(t *testing.T) {
 	}
 
 	var recs []api.TraceCase
+	var streamed bytes.Buffer
 	for _, r := range [][2]int{{0, 2}, {2, 4}} {
 		runs, err := sc.ExpandRange(r[0], r[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := NewExecutor(Options{})
+		shard, err := Stream(context.Background(), runs, Options{}, &streamed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cr := range runs {
-			rec, err := ex.Execute(context.Background(), cr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs = append(recs, *rec)
-		}
+		recs = append(recs, shard...)
 	}
 
 	if !reflect.DeepEqual(recs, res.Cases) {
-		t.Fatalf("sharded executor records differ from Run:\n%+v\nvs\n%+v", recs, res.Cases)
+		t.Fatalf("sharded Stream records differ from Run:\n%+v\nvs\n%+v", recs, res.Cases)
 	}
 	lines := bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"))
 	if len(lines) != 2+len(recs) {
@@ -122,6 +118,11 @@ func TestExecutorShardedMatchesRun(t *testing.T) {
 		if !bytes.Equal(b, lines[1+i]) {
 			t.Errorf("case %d re-encodes differently:\n%s\nvs trace line\n%s", i, b, lines[1+i])
 		}
+	}
+
+	caseLines := bytes.Join(lines[1:len(lines)-1], []byte("\n"))
+	if got := bytes.TrimSuffix(streamed.Bytes(), []byte("\n")); !bytes.Equal(got, caseLines) {
+		t.Errorf("streamed shard lines differ from the trace's case lines:\n%s\nvs\n%s", got, caseLines)
 	}
 
 	sum := Summarize(sc.Spec.Name, sc.Spec.Cases, recs, "")

@@ -70,7 +70,7 @@ func Rebuild(tr *Trace, reg *workloads.Registry) ([]*CaseRun, error) {
 // dimensions, which is what Counterfactual wraps. The trace records
 // stream to trace when non-nil, exactly like Run.
 func Replay(ctx context.Context, tr *Trace, opts Options, trace io.Writer) (*Result, error) {
-	runs, err := Rebuild(tr, opts.Registry)
+	runs, err := Rebuild(tr, workloads.Default)
 	if err != nil {
 		return nil, err
 	}

@@ -30,8 +30,6 @@ type Options struct {
 	// Flow appends extra pipeline options (clock period, cycle caps,
 	// observers). Backend and width come from the fields above.
 	Flow []flow.Option
-	// Registry resolves workload families; nil uses the default.
-	Registry *workloads.Registry
 }
 
 // Result is one executed campaign: the trace records it emitted.
@@ -72,51 +70,6 @@ func (sc *Scenario) Run(ctx context.Context, opts Options, trace io.Writer) (*Re
 		opts.Width = sc.Spec.Width
 	}
 	return execute(ctx, sc.Spec.Name, sc.Spec.Seed, runs, opts, trace)
-}
-
-// Executor executes materialized cases one at a time against a shared
-// pipeline and prepared-design cache. It is the unit a sweep shard
-// worker drives directly: executing cases [lo, hi) of an ExpandRange
-// through an Executor yields trace records identical to the same slice
-// of a full Run.
-type Executor struct {
-	opts    Options
-	backend string
-	pipe    *flow.Pipeline
-	cache   map[string]*flow.PreparedDesign
-}
-
-// NewExecutor resolves the backend ("" means the flow default — spec
-// resolution happens in Run) and builds the pipeline.
-func NewExecutor(opts Options) (*Executor, error) {
-	backend := opts.Backend
-	if backend == "" {
-		backend = flow.DefaultBackend
-	}
-	pipeOpts := []flow.Option{flow.WithBackend(backend)}
-	if opts.Width > 0 {
-		pipeOpts = append(pipeOpts, flow.WithWidth(opts.Width))
-	}
-	pipe, err := flow.New(append(pipeOpts, opts.Flow...)...)
-	if err != nil {
-		return nil, err
-	}
-	return &Executor{
-		opts:    opts,
-		backend: backend,
-		pipe:    pipe,
-		cache:   map[string]*flow.PreparedDesign{},
-	}, nil
-}
-
-// Backend is the resolved backend name the executor simulates on.
-func (e *Executor) Backend() string { return e.backend }
-
-// Execute runs one case and returns its trace record. Designs are
-// prepared once per resolved parameterization and reused from the
-// replay cache on repeated keys.
-func (e *Executor) Execute(ctx context.Context, cr *CaseRun) (*api.TraceCase, error) {
-	return runCase(ctx, e.pipe, e.cache, cr, e.opts)
 }
 
 // Summarize folds executed case records into the trailing summary
@@ -160,8 +113,8 @@ func Summarize(name string, planned int, cases []api.TraceCase, errMsg string) a
 	return s
 }
 
-// execute drives materialized cases through the flow: the shared tail
-// of Run, Replay and Counterfactual.
+// execute frames Stream with the trace header and the trailing
+// summary: the shared tail of Run, Replay and Counterfactual.
 func execute(ctx context.Context, name string, seed int64, runs []*CaseRun, opts Options, trace io.Writer) (*Result, error) {
 	backend := opts.Backend
 	if backend == "" {
@@ -184,38 +137,56 @@ func execute(ctx context.Context, name string, seed int64, runs []*CaseRun, opts
 			return res, fmt.Errorf("scenario: write trace: %w", err)
 		}
 	}
-	finish := func(err error) (*Result, error) {
-		errMsg := ""
-		if err != nil {
-			errMsg = err.Error()
-		}
-		res.Summary = Summarize(name, len(runs), res.Cases, errMsg)
-		if enc != nil {
-			if werr := enc.Encode(res.Summary); werr != nil && err == nil {
-				err = fmt.Errorf("scenario: write trace: %w", werr)
-			}
-		}
-		return res, err
-	}
-
-	exec, err := NewExecutor(opts)
+	var err error
+	res.Cases, err = Stream(ctx, runs, opts, trace)
+	errMsg := ""
 	if err != nil {
-		return finish(err)
+		err = fmt.Errorf("scenario: %s: %w", name, err)
+		errMsg = err.Error()
 	}
-
-	for _, cr := range runs {
-		rec, err := exec.Execute(ctx, cr)
-		if err != nil {
-			return finish(fmt.Errorf("scenario: %s: case %d (%s,%s): %w", name, cr.Index, cr.Family, cr.Params, err))
+	res.Summary = Summarize(name, len(runs), res.Cases, errMsg)
+	if enc != nil {
+		if werr := enc.Encode(res.Summary); werr != nil && err == nil {
+			err = fmt.Errorf("scenario: write trace: %w", werr)
 		}
-		res.Cases = append(res.Cases, *rec)
+	}
+	return res, err
+}
+
+// Stream executes materialized cases in order on one pipeline and one
+// prepared-design cache, encoding each trace-case record as one line to
+// w; a nil w skips recording. Designs are prepared once per resolved
+// parameterization and reused from the replay cache on repeated keys,
+// so the records of any slice of an ExpandRange equal the same slice of
+// a full Run. On error it returns the records executed so far; the
+// error names the failing case, and the caller adds the campaign or
+// shard.
+func Stream(ctx context.Context, runs []*CaseRun, opts Options, w io.Writer) ([]api.TraceCase, error) {
+	// flow.New and the compiler resolve "" and 0 to their defaults.
+	pipeOpts := []flow.Option{flow.WithBackend(opts.Backend), flow.WithWidth(opts.Width)}
+	pipe, err := flow.New(append(pipeOpts, opts.Flow...)...)
+	if err != nil {
+		return nil, err
+	}
+	cache := map[string]*flow.PreparedDesign{}
+	var enc *json.Encoder
+	if w != nil {
+		enc = json.NewEncoder(w)
+	}
+	recs := make([]api.TraceCase, 0, len(runs))
+	for _, cr := range runs {
+		rec, err := runCase(ctx, pipe, cache, cr, opts)
+		if err != nil {
+			return recs, fmt.Errorf("case %d (%s,%s): %w", cr.Index, cr.Family, cr.Params, err)
+		}
+		recs = append(recs, *rec)
 		if enc != nil {
-			if err := enc.Encode(*rec); err != nil {
-				return finish(fmt.Errorf("scenario: write trace: %w", err))
+			if err := enc.Encode(rec); err != nil {
+				return recs, fmt.Errorf("write trace: %w", err)
 			}
 		}
 	}
-	return finish(nil)
+	return recs, nil
 }
 
 // runCase executes one materialized case: prepare (or fetch) the

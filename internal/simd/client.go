@@ -51,14 +51,10 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 	return &Client{base: strings.TrimRight(baseURL, "/"), http: httpClient}
 }
 
-// Verify runs the request as a verify round.
+// Verify runs the request's rounds (req.Rounds, default 1), each one
+// verified.
 func (c *Client) Verify(ctx context.Context, req api.Request) (*Result, error) {
 	return c.do(ctx, PathVerify, req)
-}
-
-// Sweep runs the request as a verify sweep (req.Rounds rounds).
-func (c *Client) Sweep(ctx context.Context, req api.Request) (*Result, error) {
-	return c.do(ctx, PathSweep, req)
 }
 
 // Bench runs the request as an unverified timing sweep.

@@ -1,8 +1,8 @@
 // Package simd serves the verification flow over HTTP: a
 // simulation-as-a-service daemon that owns a pool of prepared designs
 // (flow.Session) keyed by resolved (workload, params, backend) and
-// admits concurrent verify, sweep and bench requests onto them under
-// explicit backpressure.
+// admits concurrent verify and bench requests onto them under explicit
+// backpressure.
 //
 // The request economics are the paper's amortization argument turned
 // into a service: the first request for a workload instance pays
@@ -71,12 +71,6 @@ type Config struct {
 	Backend string
 	// MaxRounds caps rounds per request (default 4096).
 	MaxRounds int
-	// MaxShardCases caps the case range of one posted sweep shard
-	// (default 4096). Campaigns bigger than that submit more shards, not
-	// bigger ones.
-	MaxShardCases int
-	// Registry resolves workload names (default: workloads.Default).
-	Registry *workloads.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -103,14 +97,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxRounds < 1 {
 		c.MaxRounds = 4096
 	}
-	if c.MaxShardCases < 1 {
-		c.MaxShardCases = 4096
-	}
 	if c.Backend == "" {
 		c.Backend = flow.DefaultBackend
-	}
-	if c.Registry == nil {
-		c.Registry = workloads.Default
 	}
 	return c
 }
@@ -152,7 +140,6 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 	}
 	s.mux.HandleFunc(PathVerify, s.handleRun(api.KindVerify))
-	s.mux.HandleFunc(PathSweep, s.handleRun(api.KindSweep))
 	s.mux.HandleFunc(PathBench, s.handleRun(api.KindBench))
 	s.mux.HandleFunc(PathShardedSweep, s.handleShardedSweep)
 	s.mux.HandleFunc(PathBackends, s.handleBackends)
@@ -162,13 +149,13 @@ func New(cfg Config) *Server {
 }
 
 // The server's routes. Each run endpoint accepts a POSTed api.Request
-// and fixes its Kind; /v1/sweep/sharded accepts a POSTed
-// api.SweepRequest and streams one shard's records (a whole scenario
-// is a one-shard sweep); /v1/backends returns an
-// api.BackendsResponse; /statsz returns an api.ServerStats object.
+// and fixes its Kind (a multi-round verify is /v1/verify with Rounds
+// set); /v1/sweep/sharded accepts a POSTed api.SweepRequest and streams
+// one shard's records (a whole scenario is a one-shard sweep);
+// /v1/backends returns an api.BackendsResponse; /statsz returns an
+// api.ServerStats object.
 const (
 	PathVerify       = "/v1/verify"
-	PathSweep        = "/v1/sweep"
 	PathBench        = "/v1/bench"
 	PathShardedSweep = "/v1/sweep/sharded"
 	PathBackends     = "/v1/backends"
@@ -288,7 +275,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, req api.Request) 
 			s.failed.Add(1)
 			if enc == nil { // nothing written yet: full-status reply
 				if errors.Is(err, flow.ErrSessionBusy) {
-					s.rejected.Add(1)
 					s.failed.Add(-1) // shed, not failed
 					s.reject(w, time.Second, "session at its in-flight limit")
 					return
@@ -362,7 +348,7 @@ func (s *Server) session(ctx context.Context, req api.Request) (sess *flow.Sessi
 	for k, v := range req.Params { // explicit params override inline ones
 		vals[k] = v
 	}
-	wl, err := s.cfg.Registry.Lookup(name)
+	wl, err := workloads.Lookup(name)
 	if err != nil {
 		return nil, false, http.StatusNotFound, err
 	}

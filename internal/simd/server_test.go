@@ -115,8 +115,8 @@ func TestVerifyStreamsNDJSON(t *testing.T) {
 	}
 }
 
-// TestSweep32Concurrent is the ISSUE's load acceptance test: 32
-// concurrent sweep requests against one pooled session, all served, all
+// TestSweep32Concurrent is the load acceptance test: 32 concurrent
+// 2-round verify requests against one pooled session, all served, all
 // verified, with exactly one elaboration per configuration — every
 // other round a reset-and-replay. Run with -race in CI.
 func TestSweep32Concurrent(t *testing.T) {
@@ -142,7 +142,7 @@ func TestSweep32Concurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = client.Sweep(context.Background(), hammingReq(8).WithRounds(2))
+			results[i], errs[i] = client.Verify(context.Background(), hammingReq(8).WithRounds(2))
 		}(i)
 	}
 	wg.Wait()
@@ -233,7 +233,7 @@ func TestQueueFullSheds429(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.Sweep(context.Background(), hammingReq(64).WithRounds(300))
+		_, err := client.Verify(context.Background(), hammingReq(64).WithRounds(300))
 		done <- err
 	}()
 	waitInFlight(t, client, 1)
@@ -271,7 +271,7 @@ func TestSessionInFlightSheds429(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = client.Sweep(context.Background(), hammingReq(8).WithRounds(20))
+			_, errs[i] = client.Verify(context.Background(), hammingReq(8).WithRounds(20))
 		}(i)
 	}
 	wg.Wait()
@@ -290,6 +290,13 @@ func TestSessionInFlightSheds429(t *testing.T) {
 	}
 	if served == 0 || shed == 0 {
 		t.Fatalf("served=%d shed=%d: want both admission and shedding on a single-slot session", served, shed)
+	}
+	st, err := client.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rejected != int64(shed) {
+		t.Errorf("/statsz rejected=%d, want %d (each shed request counts once)", st.Rejected, shed)
 	}
 }
 
@@ -344,7 +351,7 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 		err error
 	}, 1)
 	go func() {
-		res, err := client.Sweep(context.Background(), hammingReq(64).WithRounds(150))
+		res, err := client.Verify(context.Background(), hammingReq(64).WithRounds(150))
 		reqDone <- struct {
 			res *simd.Result
 			err error
@@ -434,7 +441,8 @@ func TestRequestValidation(t *testing.T) {
 		{simd.PathVerify, `{"workload":"hamming","backend":"no-such-backend"}`, http.StatusBadRequest},
 		{simd.PathVerify, `{"workload":"hamming","kind":"sweep"}`, http.StatusBadRequest},
 		{simd.PathVerify, `{"workload":"hamming","rounds":100000}`, http.StatusBadRequest},
-		{simd.PathSweep, `{"workload":"hamming","schema_version":99}`, http.StatusBadRequest},
+		{simd.PathBench, `{"workload":"hamming","schema_version":99}`, http.StatusBadRequest},
+		{"/v1/sweep", `{"workload":"hamming","rounds":4}`, http.StatusNotFound}, // a multi-round verify is /v1/verify
 	}
 	for _, c := range cases {
 		if resp := post(c.path, c.body); resp.StatusCode != c.want {

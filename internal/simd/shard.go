@@ -13,17 +13,22 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/sweep"
+	"repro/internal/workloads"
 )
+
+// maxShardCases caps the case range of one posted sweep shard.
+// Campaigns bigger than that submit more shards, not bigger ones.
+const maxShardCases = 4096
 
 // handleShardedSweep serves POST /v1/sweep/sharded: the body is an
 // api.SweepRequest naming a campaign spec and one shard index; the
 // response streams that shard's records — shard header, one trace-case
 // line per case, footer — exactly as a local worker would write them
-// to a shard file. The server loads the spec against its own registry
-// and the campaign's own backend resolution (not the server default):
-// the digest in the shard header must match what the coordinator
-// computed, or resume validation would classify every remote shard
-// foreign.
+// to a shard file. The server loads the spec against the default
+// workload registry and the campaign's own backend resolution (not the
+// server default): the digest in the shard header must match what the
+// coordinator computed, or resume validation would classify every
+// remote shard foreign.
 //
 // Spec, shard-index and size errors surface as 4xx before the first
 // byte. Once streaming starts, an execution error simply ends the
@@ -45,7 +50,7 @@ func (s *Server) handleShardedSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	c, err := sweep.Load(&req.Spec, s.cfg.Registry)
+	c, err := sweep.Load(&req.Spec, workloads.Default)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -55,9 +60,9 @@ func (s *Server) handleShardedSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if size := sh.To - sh.From; size > s.cfg.MaxShardCases {
+	if size := sh.To - sh.From; size > maxShardCases {
 		http.Error(w, fmt.Sprintf("simd: shard %d spans %d cases, exceeding the per-shard cap %d",
-			sh.Index, size, s.cfg.MaxShardCases), http.StatusBadRequest)
+			sh.Index, size, maxShardCases), http.StatusBadRequest)
 		return
 	}
 	// Materialize the shard now: an invalid draw surfaces as a 400

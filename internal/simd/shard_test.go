@@ -151,8 +151,8 @@ func TestRemoteWorkerCampaign(t *testing.T) {
 // TestShardedSweepValidation keeps spec and shard errors on the 4xx
 // surface.
 func TestShardedSweepValidation(t *testing.T) {
-	ts, client := testServer(t, simd.Config{Workers: 1, MaxShardCases: 2})
-	good := sweep.WrapScenario(shardScenarioSpec(7, 4), 1) // one 4-case shard > cap 2
+	ts, client := testServer(t, simd.Config{Workers: 1})
+	oversized := sweep.WrapScenario(shardScenarioSpec(7, 4097), 1) // one shard over the 4,096-case cap
 
 	post := func(body string) int {
 		t.Helper()
@@ -164,7 +164,7 @@ func TestShardedSweepValidation(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	// A two-case scenario fits the cap; each 400 row breaks one thing.
+	// A two-case scenario is valid; each 400 row breaks one thing.
 	scen := func(req, spec, mix string) string {
 		return fmt.Sprintf(`{%s"spec":{"name":"s","scenario":{"name":"s",%s"cases":2,"mix":[%s]}},"shard":0}`,
 			req, spec, mix)
@@ -205,7 +205,7 @@ func TestShardedSweepValidation(t *testing.T) {
 	}
 
 	// Shard bigger than the server's cap.
-	cg, err := sweep.Load(good, nil)
+	cg, err := sweep.Load(oversized, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +230,10 @@ func TestShardedSweepValidation(t *testing.T) {
 // cannot help and must not burn the shard's retry budget — while a
 // refused connection is the endpoint's fault and requeues for free.
 func TestRemoteErrorClassification(t *testing.T) {
-	// A shard over the server's per-shard cap draws an HTTP 400.
-	_, capped := testServer(t, simd.Config{Workers: 1, MaxShardCases: 2})
-	c, err := sweep.Load(sweep.WrapScenario(shardScenarioSpec(11, 4), 1), nil)
+	// A shard over the server's 4,096-case per-shard cap draws an HTTP
+	// 400.
+	_, capped := testServer(t, simd.Config{Workers: 1})
+	c, err := sweep.Load(sweep.WrapScenario(shardScenarioSpec(11, 4097), 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,6 +127,41 @@ func TestRetryAbsorbsTransientKill(t *testing.T) {
 	}
 }
 
+// TestKilledShardHoldsHalfItsCases pins what an injected kill leaves
+// behind: the clean shard's header and first ⌊n/2⌋ case lines, byte
+// for byte, and no footer — a file InspectShard classifies torn.
+func TestKilledShardHoldsHalfItsCases(t *testing.T) {
+	c := mustLoad(t, sweep.WrapScenario(scenarioSpec(29, 4), 1))
+	sh := c.Shards()[0]
+	var clean bytes.Buffer
+	if err := sweep.ExecuteShard(context.Background(), c, sh, &clean, nil); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(clean.Bytes(), []byte("\n"))
+	if len(lines) != 1+4+1+1 { // header, 4 cases, footer, "" after the last newline
+		t.Fatalf("clean shard has %d lines, want header, 4 cases and footer", len(lines)-1)
+	}
+
+	inj := sweep.NewInjector()
+	inj.Kill = sh.Index
+	var killed bytes.Buffer
+	if err := sweep.ExecuteShard(context.Background(), c, sh, &killed, inj); err == nil {
+		t.Fatal("killed shard returned no error")
+	}
+	if want := bytes.Join(lines[:1+2], nil); !bytes.Equal(killed.Bytes(), want) {
+		t.Fatalf("killed shard wrote\n%s\nwant the header and first 2 case lines\n%s", killed.Bytes(), want)
+	}
+
+	path := sweep.ShardPath(t.TempDir(), sh.Index)
+	if err := os.WriteFile(path, killed.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	info, err := sweep.InspectShard(path, c.ShardHeader(sh))
+	if err != nil || info.State != sweep.StateTorn {
+		t.Errorf("killed shard classified %+v (%v), want torn", info, err)
+	}
+}
+
 func TestParseFaults(t *testing.T) {
 	inj, err := sweep.ParseFaults("kill:1,truncate:2,dup:0:3")
 	if err != nil {

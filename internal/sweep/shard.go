@@ -46,9 +46,9 @@ var newline = []byte{'\n'}
 
 // ExecuteShard runs shard sh of the campaign and streams its shard
 // records to w: the shard header, one trace-case line per case in
-// index order, and the footer with the case count and line digest.
-// The injector, if non-nil, may kill the execution mid-shard; a nil
-// injector runs clean.
+// index order (scenario.Stream), and the footer with the case count and
+// line digest. The injector, if non-nil, may kill the execution
+// mid-shard; a nil injector runs clean.
 func ExecuteShard(ctx context.Context, c *Campaign, sh Shard, w io.Writer, inj *Injector) error {
 	if inj.flakyFires(sh.Index) {
 		// A flaky worker fails before writing anything — the signature of
@@ -56,10 +56,6 @@ func ExecuteShard(ctx context.Context, c *Campaign, sh Shard, w io.Writer, inj *
 		return EndpointFault(fmt.Errorf("sweep: shard %d: injected flaky failure", sh.Index))
 	}
 	runs, err := c.MaterializeRange(sh.From, sh.To)
-	if err != nil {
-		return err
-	}
-	ex, err := scenario.NewExecutor(scenario.Options{Backend: c.Backend, Width: c.Width})
 	if err != nil {
 		return err
 	}
@@ -82,32 +78,21 @@ func ExecuteShard(ctx context.Context, c *Campaign, sh Shard, w io.Writer, inj *
 			return ctx.Err()
 		}
 	}
-	digest := fnv.New64a()
-	killAt := -1
+	n := len(runs)
 	if inj.killsShard(sh.Index) {
-		killAt = len(runs) / 2
+		n = len(runs) / 2
 	}
-	for i, cr := range runs {
-		if i == killAt {
-			// Mid-shard worker death: a subprocess injector exits the
-			// process here; in-process execution returns an error, leaving
-			// the file torn (no footer) exactly like a killed worker would.
-			inj.exit(FaultExitCode)
-			return fmt.Errorf("sweep: shard %d: injected kill after %d/%d cases", sh.Index, i, len(runs))
-		}
-		rec, err := ex.Execute(ctx, cr)
-		if err != nil {
-			return fmt.Errorf("sweep: shard %d: case %d (%s,%s): %w", sh.Index, cr.Index, cr.Family, cr.Params, err)
-		}
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		line = append(line, '\n')
-		digest.Write(line)
-		if _, err := w.Write(line); err != nil {
-			return fmt.Errorf("sweep: write shard %d: %w", sh.Index, err)
-		}
+	digest := fnv.New64a()
+	opts := scenario.Options{Backend: c.Backend, Width: c.Width}
+	if _, err := scenario.Stream(ctx, runs[:n], opts, io.MultiWriter(w, digest)); err != nil {
+		return fmt.Errorf("sweep: shard %d: %w", sh.Index, err)
+	}
+	if n < len(runs) {
+		// Mid-shard worker death: a subprocess injector exits the process
+		// here; in-process execution returns an error, leaving the file
+		// torn (no footer) exactly like a killed worker would.
+		inj.exit(FaultExitCode)
+		return fmt.Errorf("sweep: shard %d: injected kill after %d/%d cases", sh.Index, n, len(runs))
 	}
 	ftr, err := json.Marshal(api.ShardResult{
 		SchemaVersion: api.SchemaVersion,

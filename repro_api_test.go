@@ -65,7 +65,7 @@ func TestPublicServiceAPI(t *testing.T) {
 
 	req := repro.NewRequest("hamming", map[string]int{"words": 8}).
 		WithBackend(repro.DefaultBackend).WithRounds(2)
-	res, err := client.Sweep(context.Background(), req)
+	res, err := client.Verify(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

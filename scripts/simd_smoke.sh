@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Smoke-test the simd server end to end, the way CI does: build it,
-# serve on a local port, drive a verify and a pooled sweep with curl,
-# run a scenario remotely as a one-shard sweep and replay it locally,
-# assert the NDJSON and /statsz shapes, then check SIGTERM drains to a
-# clean exit. Run via `make smoke`.
+# serve on a local port, drive a verify and a pooled 4-round verify with
+# curl, run a scenario remotely as a one-shard sweep and replay it
+# locally, assert the NDJSON and /statsz shapes, then check SIGTERM
+# drains to a clean exit. Run via `make smoke`.
 set -eu
 
 PORT="${SIMD_PORT:-$((20000 + $$ % 20000))}"
@@ -36,13 +36,16 @@ echo "$VERIFY" | grep -q '"schema_version":1'
 echo "$VERIFY" | grep -q '"verified":true'
 echo "$VERIFY" | grep -q '"passed":true'
 
-echo "== sweep: pooled session, reset-and-replay rounds =="
-SWEEP=$(curl -fsS "$BASE/v1/sweep" -d '{"workload":"hamming","params":{"words":64},"rounds":4}')
-echo "$SWEEP" | tail -1
-echo "$SWEEP" | grep -q '"pool_hit":true'
-echo "$SWEEP" | grep -q '"rounds":4'
-echo "$SWEEP" | grep -q '"elaborations":'
-[ "$(echo "$SWEEP" | grep -c '"record":"config"')" -ge 4 ]
+echo "== 4-round verify: pooled session, reset-and-replay rounds =="
+ROUNDS=$(curl -fsS "$BASE/v1/verify" -d '{"workload":"hamming","params":{"words":64},"rounds":4}')
+echo "$ROUNDS" | tail -1
+echo "$ROUNDS" | grep -q '"pool_hit":true'
+echo "$ROUNDS" | grep -q '"rounds":4'
+echo "$ROUNDS" | grep -q '"elaborations":'
+[ "$(echo "$ROUNDS" | grep -c '"record":"config"')" -ge 4 ]
+# there is one verify route: /v1/sweep is gone
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/sweep" -d '{"workload":"hamming","rounds":4}')
+[ "$CODE" = 404 ] || { echo "/v1/sweep: HTTP $CODE, want 404" >&2; exit 1; }
 
 echo "== campaign: a remote one-shard sweep that replays bit-identically =="
 go build -o "$WORKDIR/testsuite" ./cmd/testsuite
