@@ -18,12 +18,22 @@ import "math/bits"
 // absorbs events beyond the window. It is touched only when an event is
 // scheduled far ahead, and drained back into the lanes when the window
 // is rebased onto the next far instant — so heap cost is paid per
-// *far event*, not per event.
+// *far event*, not per event. A heap entry carries its event's (time,
+// seq) key beside the slab index, so sifting never reads the slab.
 //
-// Event structs are pooled on an intrusive free list: the same chain
-// pointer links a pooled event, a lane chain, and is reused by the
-// next-delta FIFO in the simulator. Steady-state scheduling performs no
-// allocations (locked in by TestKernelSteadyStateAllocs).
+// Events live in one slab, a []event the queue owns, and are named by
+// their int32 slab index. The same index link chains a free slot, a
+// lane chain, and the simulator's next-delta FIFO; slot 0 is never
+// handed out, so index 0 ends a chain and a zeroed lane array is empty.
+// An event names its signal by the signal's id, so the slab holds no
+// pointer: scheduling, popping and pooling an event store no pointer,
+// no GC write barrier runs on the event path, and the collector never
+// scans the slab. Steady-state scheduling performs no allocations
+// (locked in by TestKernelSteadyStateAllocs).
+//
+// alloc may grow the slab by append, which moves it, so no *event may
+// be held across an alloc: Simulator.set fills its new slot before
+// anything else allocates, and phase 1 of runBatch schedules nothing.
 //
 // Ordering invariant: within one instant, events are delivered in seq
 // (insertion) order. Lane chains append in seq order because seq is
@@ -39,76 +49,86 @@ const (
 	laneWords = laneCount / 64 // occupancy bitmap words
 )
 
-// event is a pending signal update. Events live in exactly one place at
-// a time — a lane chain, the overflow heap, the simulator's next-delta
-// FIFO, or the free list — and next links the chain in all but the heap.
+// event is a pending signal update, one slot of the queue's slab. An
+// event lives in exactly one place at a time — a lane chain, the
+// overflow heap, the simulator's next-delta FIFO, or the free list —
+// and next, a slab index (0 ends the chain), links the chain in all but
+// the heap. sig is the signal's id, its index in Simulator.signals.
+// The struct holds no pointer (pinned by TestEventHoldsNoPointers).
 type event struct {
 	at   Time
 	seq  uint64
-	sig  *Signal
 	val  uint64
-	next *event
+	sig  int32
+	next int32
 }
 
-// twoLevelQueue is the scheduling core behind a Simulator: it owns every
-// pending future event (the same-instant delta FIFO lives in the
-// Simulator itself).
+// twoLevelQueue is the scheduling core behind a Simulator: it owns the
+// event slab and every pending future event (the same-instant delta
+// FIFO lives in the Simulator itself, as a chain of slab indices).
 type twoLevelQueue struct {
-	free *event // intrusive free list; the chain pointer is the pool link
+	events []event // the slab; slot 0 is never handed out
+	free   int32   // free-list head; next is the pool link
+	live   int     // slots handed out and not yet released: the pending events
 
-	laneHead [laneCount]*event
-	laneTail [laneCount]*event
+	laneHead [laneCount]int32
+	laneTail [laneCount]int32
 	laneBits [laneWords]uint64 // occupancy bitmap over the lane ring
-	laneLive int               // events currently in the lanes
+	laneUsed int               // lanes holding a chain
 	base     Time              // window start (inclusive); window is [base, base+laneCount)
 	scan     Time              // no lane event is earlier than this
 
-	overflow []*event // min-heap keyed (at, seq)
+	overflow []farEvent // min-heap keyed (at, seq)
 }
 
-// alloc takes an event from the pool, or allocates one.
-func (q *twoLevelQueue) alloc() *event {
-	if e := q.free; e != nil {
-		q.free = e.next
-		e.next = nil
-		return e
+// farEvent is an overflow heap entry: the event's slab index with its
+// (at, seq) key copied beside it, so sifting compares heap entries
+// without reading the slab.
+type farEvent struct {
+	at  Time
+	seq uint64
+	i   int32
+}
+
+// alloc takes a slot from the free list, or appends one to the slab,
+// and returns its index and address. The slot's next is 0; the address
+// is valid until the next alloc.
+func (q *twoLevelQueue) alloc() (int32, *event) {
+	q.live++
+	if i := q.free; i != 0 {
+		e := &q.events[i]
+		q.free, e.next = e.next, 0
+		return i, e
 	}
-	return &event{}
+	if len(q.events) == 0 {
+		q.events = append(q.events, event{}) // slot 0: the end of every chain
+	}
+	q.events = append(q.events, event{})
+	i := len(q.events) - 1
+	return int32(i), &q.events[i]
 }
 
-// release returns a processed event to the pool. The signal pointer is
-// dropped so the pool never outlives a signal's reachability.
-func (q *twoLevelQueue) release(e *event) {
-	e.sig = nil
-	e.next = q.free
-	q.free = e
+// release returns the processed chain head..tail of n events to the
+// free list in one splice.
+func (q *twoLevelQueue) release(head, tail int32, n int) {
+	q.events[tail].next = q.free
+	q.free = head
+	q.live -= n
 }
 
-// len reports the number of queued events (lanes + overflow).
-func (q *twoLevelQueue) len() int { return q.laneLive + len(q.overflow) }
-
-// reset releases every queued event back to the pool and rewinds the
-// window onto time zero. The pool itself and the overflow heap's
-// backing array are kept, so a replayed run schedules allocation-free
-// from the first event.
+// reset drops every event, queued or free, and rewinds the window onto
+// time zero. The slab and the overflow heap keep their backing arrays,
+// so a replayed run schedules allocation-free from the first event. The
+// caller drops its own chains (the simulator's next-delta FIFO) too.
 func (q *twoLevelQueue) reset() {
-	for idx := range q.laneHead {
-		for e := q.laneHead[idx]; e != nil; {
-			next := e.next
-			q.release(e)
-			e = next
-		}
-		q.laneHead[idx], q.laneTail[idx] = nil, nil
+	if len(q.events) > 0 {
+		q.events = q.events[:1]
 	}
-	for i := range q.laneBits {
-		q.laneBits[i] = 0
-	}
-	q.laneLive = 0
+	q.free, q.live = 0, 0
+	q.laneHead, q.laneTail = [laneCount]int32{}, [laneCount]int32{}
+	q.laneBits = [laneWords]uint64{}
+	q.laneUsed = 0
 	q.base, q.scan = 0, 0
-	for i, e := range q.overflow {
-		q.release(e)
-		q.overflow[i] = nil
-	}
 	q.overflow = q.overflow[:0]
 }
 
@@ -121,32 +141,33 @@ func (q *twoLevelQueue) windowEnd() Time {
 	return end
 }
 
-// schedule files a future event (e.at is strictly after the current
-// instant, which guarantees it is at or after scan).
-func (q *twoLevelQueue) schedule(e *event) {
+// schedule files future event i, whose slot is e (its time is strictly
+// after the current instant, which guarantees it is at or after scan).
+func (q *twoLevelQueue) schedule(i int32, e *event) {
 	if e.at < q.windowEnd() {
-		q.pushLane(e)
+		q.pushLane(i, e.at)
 		return
 	}
-	q.pushOverflow(e)
+	q.pushOverflow(farEvent{at: e.at, seq: e.seq, i: i})
 }
 
-func (q *twoLevelQueue) pushLane(e *event) {
+// pushLane appends event i, due at time at, to its lane's chain.
+func (q *twoLevelQueue) pushLane(i int32, at Time) {
 	// A limit-bounded run may have advanced scan onto an instant beyond
 	// its limit without processing it; an event scheduled afterwards can
 	// legally land earlier, so pull scan back to keep its invariant.
-	if e.at < q.scan {
-		q.scan = e.at
+	if at < q.scan {
+		q.scan = at
 	}
-	idx := int(e.at) & laneMask
-	if tail := q.laneTail[idx]; tail != nil {
-		tail.next = e
+	idx := int(at) & laneMask
+	if tail := q.laneTail[idx]; tail != 0 {
+		q.events[tail].next = i
 	} else {
-		q.laneHead[idx] = e
+		q.laneHead[idx] = i
 		q.laneBits[idx>>6] |= 1 << uint(idx&63)
+		q.laneUsed++
 	}
-	q.laneTail[idx] = e
-	q.laneLive++
+	q.laneTail[idx] = i
 }
 
 // peekTime finds the earliest queued instant without committing any
@@ -159,7 +180,7 @@ func (q *twoLevelQueue) pushLane(e *event) {
 // code can schedule: an event scheduled after an abandoned peek can
 // never land behind the window and alias a lane.
 func (q *twoLevelQueue) peekTime(limit Time) (t Time, fromOverflow, ok bool) {
-	if q.laneLive == 0 {
+	if q.laneUsed == 0 {
 		if len(q.overflow) == 0 {
 			return 0, false, false
 		}
@@ -187,7 +208,7 @@ func (q *twoLevelQueue) commitTime(t Time, fromOverflow bool) {
 
 // nextLaneTime returns the earliest populated instant at or after scan.
 // It walks the occupancy bitmap ring, so the cost is a handful of word
-// tests regardless of how sparse the window is. Requires laneLive > 0.
+// tests regardless of how sparse the window is. Requires laneUsed > 0.
 //
 // Every set bit names a real event time in [scan, windowEnd): lane
 // events are confined to the window and none precede scan, so a bit at
@@ -206,20 +227,18 @@ func (q *twoLevelQueue) nextLaneTime() Time {
 		}
 		dist += 64
 	}
-	// Unreachable while laneLive > 0: every lane event is in the window.
+	// Unreachable while laneUsed > 0: every lane event is in the window.
 	panic("hades: event queue lane accounting corrupted")
 }
 
-// popInstant removes and returns the whole chain of events at instant t
-// (which must come from nextTime), in seq order.
-func (q *twoLevelQueue) popInstant(t Time) *event {
+// popInstant removes the whole chain of events at instant t (which must
+// come from peekTime) and returns its head index, in seq order.
+func (q *twoLevelQueue) popInstant(t Time) int32 {
 	idx := int(t) & laneMask
 	head := q.laneHead[idx]
-	q.laneHead[idx], q.laneTail[idx] = nil, nil
+	q.laneHead[idx], q.laneTail[idx] = 0, 0
 	q.laneBits[idx>>6] &^= 1 << uint(idx&63)
-	for e := head; e != nil; e = e.next {
-		q.laneLive--
-	}
+	q.laneUsed--
 	q.scan = t + 1
 	return head
 }
@@ -232,12 +251,17 @@ func (q *twoLevelQueue) rebase(t Time) {
 	q.base, q.scan = t, t
 	end := q.windowEnd()
 	for len(q.overflow) > 0 && q.overflow[0].at < end {
-		q.pushLane(q.popOverflow())
+		f := q.popOverflow()
+		q.pushLane(f.i, f.at)
 	}
 }
 
-func (q *twoLevelQueue) pushOverflow(e *event) {
-	h := append(q.overflow, e)
+// pushOverflow and popOverflow resize q.overflow in place (append to
+// it, reslice it) and sift a local copy of it, so the slice header is
+// stored without a write barrier unless the heap grows.
+func (q *twoLevelQueue) pushOverflow(f farEvent) {
+	q.overflow = append(q.overflow, f)
+	h := q.overflow
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -247,15 +271,17 @@ func (q *twoLevelQueue) pushOverflow(e *event) {
 		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
-	q.overflow = h
 }
 
-func (q *twoLevelQueue) popOverflow() *event {
+// popOverflow removes the heap's top entry. Heap events never had a
+// chain link set (alloc hands out next == 0), so its event is ready to
+// append to a lane.
+func (q *twoLevelQueue) popOverflow() farEvent {
 	h := q.overflow
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = nil
+	q.overflow = q.overflow[:n]
 	h = h[:n]
 	i := 0
 	for {
@@ -272,13 +298,11 @@ func (q *twoLevelQueue) popOverflow() *event {
 		h[i], h[kid] = h[kid], h[i]
 		i = kid
 	}
-	q.overflow = h
-	top.next = nil
 	return top
 }
 
 // heapLess orders the overflow heap by (time, seq).
-func heapLess(a, b *event) bool {
+func heapLess(a, b farEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -392,7 +393,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	}})
 	sim.SetUint(far, 1, 4)
 
-	// Warm up: grows the event pool, the overflow heap backing array,
+	// Warm up: grows the event slab, the overflow heap backing array,
 	// the reactor-order slice and the lazy reactor-id map.
 	if _, err := sim.Run(20000); err != nil {
 		t.Fatal(err)
@@ -405,4 +406,46 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("steady-state kernel allocates %v objects per 500-tick window, want 0", avg)
 	}
+}
+
+// --- pointer-free slab ----------------------------------------------------
+
+// TestEventHoldsNoPointers pins what keeps GC write barriers off the
+// event path: an event holds no field the collector must trace, and the
+// queue's own fields are pointer-free, apart from the slices that own
+// its slab and heap, whose elements are pointer-free too.
+func TestEventHoldsNoPointers(t *testing.T) {
+	for _, path := range pointerPaths("event", reflect.TypeOf(event{})) {
+		t.Errorf("%s can hold a pointer", path)
+	}
+	q := reflect.TypeOf(twoLevelQueue{})
+	for i := 0; i < q.NumField(); i++ {
+		f := q.Field(i)
+		path, typ := "twoLevelQueue."+f.Name, f.Type
+		if typ.Kind() == reflect.Slice {
+			path, typ = path+"[]", typ.Elem()
+		}
+		for _, p := range pointerPaths(path, typ) {
+			t.Errorf("%s can hold a pointer", p)
+		}
+	}
+}
+
+// pointerPaths lists the paths within typ whose kind can hold a pointer.
+func pointerPaths(path string, typ reflect.Type) []string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface,
+		reflect.String, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+		return []string{path + " (" + typ.Kind().String() + ")"}
+	case reflect.Array:
+		return pointerPaths(path+"[]", typ.Elem())
+	case reflect.Struct:
+		var out []string
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			out = append(out, pointerPaths(path+"."+f.Name, f.Type)...)
+		}
+		return out
+	}
+	return nil
 }

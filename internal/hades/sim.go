@@ -62,7 +62,8 @@ var ErrInterrupted = errors.New("hades: run interrupted")
 // events of the current instant in a plain FIFO, because a delta cycle
 // at (T, d) can only ever schedule into (T, d+1). The whole batch of an
 // instant or delta is popped in one step with no per-event ordering
-// work.
+// work. Every event lives in the queue's pointer-free slab and names its
+// signal by id, so Set accepts only a signal this simulator holds.
 type Simulator struct {
 	now   Time
 	delta int
@@ -70,10 +71,10 @@ type Simulator struct {
 	q     twoLevelQueue
 
 	// nextDelta chains the zero-delay events of the current instant in
-	// insertion order; they run as one batch at delta s.delta+1.
-	nextDeltaHead *event
-	nextDeltaTail *event
-	nextDeltaLen  int
+	// insertion order, by slab index (0 = empty); they run as one batch
+	// at delta s.delta+1.
+	nextDeltaHead int32
+	nextDeltaTail int32
 
 	signals  []*Signal
 	stats    Stats
@@ -184,7 +185,7 @@ func (s *Simulator) Mark() {
 
 // Reset rewinds the simulator so the same wired design can be run again
 // without rebuilding: every pending event (both queue levels and the
-// delta FIFO) returns to the free list, simulated time, the event
+// delta FIFO) is dropped from the event slab, simulated time, the event
 // sequence counter and the per-run Stats counters rewind to zero, any
 // requested stop is cleared, and every signal becomes undefined again
 // (the power-on X state). When a Mark was taken, signals created and
@@ -199,12 +200,7 @@ func (s *Simulator) Mark() {
 // the elaboration layer's job — see netlist.Elaboration.Reset, which
 // wraps this and replays the elaboration-time initialisation.
 func (s *Simulator) Reset() {
-	for e := s.nextDeltaHead; e != nil; {
-		next := e.next
-		s.q.release(e)
-		e = next
-	}
-	s.nextDeltaHead, s.nextDeltaTail, s.nextDeltaLen = nil, nil, 0
+	s.nextDeltaHead, s.nextDeltaTail = 0, 0
 	s.q.reset()
 	s.now, s.delta, s.seq = 0, 0, 0
 	s.stopped, s.stopWhy = false, ""
@@ -232,11 +228,13 @@ func (s *Simulator) Reset() {
 }
 
 // PendingEvents reports the number of scheduled-but-unapplied events.
-func (s *Simulator) PendingEvents() int { return s.q.len() + s.nextDeltaLen }
+func (s *Simulator) PendingEvents() int { return s.q.live }
 
 // Set schedules sig to take value val after delay ticks. A zero delay
 // schedules for the next delta cycle of the current instant, preserving
-// the evaluate/update separation of an HDL simulator.
+// the evaluate/update separation of an HDL simulator. Set panics on a
+// negative delay and on a signal this simulator does not hold: one of
+// another simulator, or one created after Mark and detached by Reset.
 func (s *Simulator) Set(sig *Signal, val int64, delay Time) {
 	s.set(sig, uint64(val), delay)
 }
@@ -250,25 +248,29 @@ func (s *Simulator) set(sig *Signal, val uint64, delay Time) {
 	if delay < 0 {
 		panic("hades: negative delay")
 	}
+	// An event names its signal by id, so a signal this simulator does
+	// not hold would alias whichever signal has that id here.
+	if sig.id >= len(s.signals) || s.signals[sig.id] != sig {
+		panic(fmt.Sprintf("hades: signal %q is not held by this simulator", sig.name))
+	}
 	s.seq++
-	e := s.q.alloc()
+	i, e := s.q.alloc() // e is filled before anything else allocates
 	e.at = s.now + delay
 	e.seq = s.seq
-	e.sig = sig
+	e.sig = int32(sig.id)
 	e.val = val & sig.mask
 	if delay == 0 {
 		// Same instant, next delta: a plain FIFO, because every event
 		// appended here belongs to delta s.delta+1 and seq is monotonic.
-		if s.nextDeltaTail != nil {
-			s.nextDeltaTail.next = e
+		if s.nextDeltaTail != 0 {
+			s.q.events[s.nextDeltaTail].next = i
 		} else {
-			s.nextDeltaHead = e
+			s.nextDeltaHead = i
 		}
-		s.nextDeltaTail = e
-		s.nextDeltaLen++
+		s.nextDeltaTail = i
 		return
 	}
-	s.q.schedule(e)
+	s.q.schedule(i, e)
 }
 
 // Drive immediately forces a signal value without an event; intended for
@@ -308,7 +310,7 @@ func (s *Simulator) Run(limit Time) (Time, error) {
 	}()
 	for !s.stopped {
 		// Current instant first: drain the delta chain before time moves.
-		if s.nextDeltaHead != nil {
+		if s.nextDeltaHead != 0 {
 			if s.now > limit {
 				return s.now, nil
 			}
@@ -317,7 +319,7 @@ func (s *Simulator) Run(limit Time) (Time, error) {
 				return s.now, fmt.Errorf("%w at t=%s", ErrMaxDeltas, s.now)
 			}
 			head := s.nextDeltaHead
-			s.nextDeltaHead, s.nextDeltaTail, s.nextDeltaLen = nil, nil, 0
+			s.nextDeltaHead, s.nextDeltaTail = 0, 0
 			s.delta = d
 			s.runBatch(head)
 			continue
@@ -339,16 +341,21 @@ func (s *Simulator) Run(limit Time) (Time, error) {
 	return s.now, nil
 }
 
-// runBatch applies one (time, delta) batch of signal updates and then
-// evaluates the affected reactors deterministically.
-func (s *Simulator) runBatch(head *event) {
+// runBatch applies one (time, delta) batch of signal updates, the
+// chain starting at slab index head, and then evaluates the affected
+// reactors deterministically.
+func (s *Simulator) runBatch(head int32) {
 	s.stats.Deltas++
 
 	// Phase 1: apply all signal updates of this (time, delta), queueing
-	// each listening reactor's slot once.
-	for e := head; e != nil; {
-		s.stats.Events++
-		sig := e.sig
+	// each listening reactor's slot once, then hand the whole chain back
+	// to the free list. It schedules nothing, so the slab cannot move.
+	events, signals := s.q.events, s.signals
+	tail, n := head, 0
+	for i := head; i != 0; i = events[i].next {
+		tail, n = i, n+1
+		e := &events[i]
+		sig := signals[e.sig]
 		changed := !sig.valid || sig.val != e.val
 		sig.val = e.val
 		sig.valid = true
@@ -361,10 +368,9 @@ func (s *Simulator) runBatch(head *event) {
 				}
 			}
 		}
-		next := e.next
-		s.q.release(e)
-		e = next
 	}
+	s.q.release(head, tail, n)
+	s.stats.Events += uint64(n)
 
 	// Phase 2: evaluate affected reactors deterministically.
 	s.sortOrder()

@@ -434,6 +434,49 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestSetRejectsSignalNotHeld pins Set's ownership guard. Events name
+// their signal by id, so a signal this simulator does not hold would
+// otherwise update whichever of its own signals has that id.
+func TestSetRejectsSignalNotHeld(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Set of %s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	sim := NewSimulator()
+	a := sim.NewSignal("a", 8)
+	foreign := NewSimulator().NewSignal("foreign", 8) // same id as a
+	mustPanic("another simulator's signal", func() { sim.Set(foreign, 1, 1) })
+
+	sim.Mark()
+	x := sim.NewSignal("x", 8)
+	sim.Reset()
+	mustPanic("a signal detached by Reset", func() { sim.Set(x, 2, 1) })
+	y := sim.NewSignal("y", 8)
+	if y.id != x.id {
+		t.Fatalf("y took id %d, want x's id %d", y.id, x.id)
+	}
+	mustPanic("a detached signal whose id was reused", func() { sim.Set(x, 3, 1) })
+
+	sim.Set(y, 5, 1)
+	if _, err := sim.Run(TimeMax); err != nil {
+		t.Fatal(err)
+	}
+	if !y.Valid() || y.Uint() != 5 {
+		t.Fatalf("y = %v, want 5", y)
+	}
+	if a.Valid() || x.Valid() || foreign.Valid() {
+		t.Fatalf("only y may change: a=%v x=%v foreign=%v", a, x, foreign)
+	}
+	if st := sim.Stats(); st.Events != 1 {
+		t.Fatalf("events=%d, want 1", st.Events)
+	}
+}
+
 func TestOnFinishRuns(t *testing.T) {
 	sim := NewSimulator()
 	called := false

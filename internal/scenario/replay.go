@@ -9,15 +9,12 @@ import (
 )
 
 // Rebuild turns a decoded trace back into materialized cases: every
-// family is rebuilt from the registry under its recorded resolved
+// family is rebuilt from workloads.Default under its recorded resolved
 // parameters, and every recorded fault is re-validated against the
 // rebuilt clean inputs (word in range, before-value matching, after =
 // before with the recorded bit flipped). Nothing is re-drawn from the
 // seed — the trace is the complete record of every decision.
-func Rebuild(tr *Trace, reg *workloads.Registry) ([]*CaseRun, error) {
-	if reg == nil {
-		reg = workloads.Default
-	}
+func Rebuild(tr *Trace) ([]*CaseRun, error) {
 	out := make([]*CaseRun, 0, len(tr.Cases))
 	for i := range tr.Cases {
 		tc := &tr.Cases[i]
@@ -29,7 +26,7 @@ func Rebuild(tr *Trace, reg *workloads.Registry) ([]*CaseRun, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: trace case %d: %w", tc.Index, err)
 		}
-		w, err := reg.Lookup(name)
+		w, err := workloads.Default.Lookup(name)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: trace case %d: %w", tc.Index, err)
 		}
@@ -70,7 +67,7 @@ func Rebuild(tr *Trace, reg *workloads.Registry) ([]*CaseRun, error) {
 // dimensions, which is what Counterfactual wraps. The trace records
 // stream to trace when non-nil, exactly like Run.
 func Replay(ctx context.Context, tr *Trace, opts Options, trace io.Writer) (*Result, error) {
-	runs, err := Rebuild(tr, workloads.Default)
+	runs, err := Rebuild(tr)
 	if err != nil {
 		return nil, err
 	}

@@ -173,13 +173,13 @@ func TestReplayRejectsTamperedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Cases[0].Faults[0].Before++
-	if _, err := Rebuild(tr, nil); err == nil {
+	if _, err := Rebuild(tr); err == nil {
 		t.Fatal("tampered fault record must fail rebuild")
 	}
 
 	tr2, _ := ReadTrace(bytes.NewReader(buf.Bytes()))
 	tr2.Cases[0].Params = "k=4,stripes=12,zzz=1"
-	if _, err := Rebuild(tr2, nil); err == nil {
+	if _, err := Rebuild(tr2); err == nil {
 		t.Fatal("unknown param in trace must fail rebuild")
 	}
 }
