@@ -16,8 +16,10 @@ test:
 # included) on 1-8 gang lanes must match each lane's one-lane compiled
 # run, fuzzed listener graphs on the event kernel must match the seed
 # reference kernel, fuzzed MiniJ source must parse, analyze and
-# compile to an error or a design, never a panic, and fuzzed datapath
-# XML must get the seed validator's verdict, byte for byte. The
+# compile to an error or a design, never a panic, fuzzed datapath
+# XML must get the seed validator's verdict, byte for byte, and every
+# fuzzed datapath the validator accepts must resolve into a plan that
+# both engines build or reject together, never with a panic. The
 # checked-in corpora (internal/flow/, internal/hades/testdata/fuzz/,
 # internal/compiler/testdata/fuzz/ and internal/xmlspec/testdata/fuzz/)
 # also run as part of `make test`.
@@ -26,6 +28,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelMatchesSeedReference$$' -fuzztime 20s ./internal/hades/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrontEnd$$' -fuzztime 20s ./internal/compiler/
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateDatapath$$' -fuzztime 20s ./internal/xmlspec/
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanBuildsOnBothEngines$$' -fuzztime 20s ./internal/xmlspec/
 
 # flake mirrors the CI flake step: the timing- and scheduling-sensitive
 # tests, 20 runs each, so a new flake shows before it lands. The chaos

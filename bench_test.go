@@ -307,7 +307,7 @@ func BenchmarkEventKernelThroughput(b *testing.B) {
 	reg, _ := operators.DefaultRegistry().Lookup("reg")
 	for i := 0; i < stages; i++ {
 		if _, err := reg.Build(sim, fmt.Sprintf("r%d", i), operators.Params{Width: 32},
-			map[string]*hades.Signal{"clk": clk, "d": sigs[i], "q": sigs[i+1]}); err != nil {
+			[]*hades.Signal{clk, sigs[i], sigs[i+1], nil, nil}); err != nil {
 			b.Fatal(err)
 		}
 	}

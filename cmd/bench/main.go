@@ -46,7 +46,7 @@ func run() error {
 		reps          = flag.Int("reps", 3, "timed repetitions per scenario (best events/sec wins)")
 		out           = flag.String("out", ".", "directory for BENCH_<name>.json files")
 		baseline      = flag.String("baseline", "", "baseline directory to compare against (exit 1 on regression)")
-		threshold     = flag.Float64("threshold", 0.25, "allowed regression vs baseline on both gated metrics (0.25 = fail below 75% of baseline events/sec or above 125% of baseline allocs/event)")
+		threshold     = flag.Float64("threshold", 0.25, "allowed regression vs baseline on the two timing metrics (0.25 = fail below 75% of baseline events/sec or above 125% of baseline allocs/event); events, cycles and configs must match exactly")
 		update        = flag.Bool("update-baseline", false, "write results into -baseline instead of comparing")
 		asJSON        = flag.Bool("json", false, "emit one JSON object per scenario on stdout")
 		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the scenario runs to this file")
@@ -177,11 +177,11 @@ func run() error {
 			for _, r := range regs {
 				fmt.Fprintln(os.Stderr, "REGRESSION:", r)
 			}
-			return fmt.Errorf("%d regression(s) beyond %.0f%% (events/sec or allocs/event) vs %s",
-				len(regs), *threshold*100, *baseline)
+			return fmt.Errorf("%d regression(s) vs %s (events, cycles or configs changed, or events/sec or allocs/event beyond %.0f%%)",
+				len(regs), *baseline, *threshold*100)
 		}
-		fmt.Printf("baseline check: %d scenario(s) within %.0f%% of %s (events/sec and allocs/event)\n",
-			len(base), *threshold*100, *baseline)
+		fmt.Printf("baseline check: %d scenario(s) match %s exactly on events, cycles and configs and within %.0f%% (events/sec and allocs/event)\n",
+			len(base), *baseline, *threshold*100)
 	}
 	return nil
 }

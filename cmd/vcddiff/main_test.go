@@ -58,9 +58,11 @@ func dumpHandcrafted(t *testing.T, path string, stimulus []int64) {
 	}
 	sim := hades.NewSimulator()
 	clk := sim.NewSignal("clk", 1)
-	el, err := netlist.Elaborate(sim, clk, dp, fsm, netlist.Options{
-		InitData: map[string][]int64{"src": stimulus},
-	})
+	plan, err := netlist.Resolve(dp, fsm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	el, err := netlist.Elaborate(sim, clk, plan, map[string][]int64{"src": stimulus})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,19 +70,33 @@ func design() (*xmlspec.Datapath, *xmlspec.FSM) {
 
 func main() {
 	dp, fsm := design()
+
+	// The hand-written XML validates against the dialect schemas, like
+	// compiler output does, and then resolves into a plan once.
+	if err := xmlspec.ValidateDatapath(dp, operators.DefaultRegistry()); err != nil {
+		log.Fatal(err)
+	}
+	if err := xmlspec.ValidateFSM(fsm); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("hand-written XML validates against the dialect schemas")
+	plan, err := netlist.Resolve(dp, fsm)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	sim := hades.NewSimulator()
 	clk := sim.NewSignal("clk", 1)
 	stimulus := []int64{5, 10, 20, 40, 80, 160, 320, 640, 1280}
-	el, err := netlist.Elaborate(sim, clk, dp, fsm, netlist.Options{
-		InitData: map[string][]int64{"src": stimulus},
-	})
+	el, err := netlist.Elaborate(sim, clk, plan, map[string][]int64{"src": stimulus})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Observability: probe the accumulator, dump all signals to VCD,
 	// assert the accumulator never goes negative.
-	probe := hades.NewProbe(el.Wires["r_acc.q"], 0)
+	acc := el.Signal("r_acc.q")
+	probe := hades.NewProbe(acc, 0)
 	vcdFile, err := os.CreateTemp("", "acc-*.vcd")
 	if err != nil {
 		log.Fatal(err)
@@ -91,7 +105,6 @@ func main() {
 	vcd := hades.NewVCDWriter(vcdFile)
 	vcd.AddAll(sim)
 	vcd.Header("acc")
-	acc := el.Wires["r_acc.q"]
 	assertion := hades.NewAssertion("acc >= 0", func() bool { return acc.Int() >= 0 }, acc)
 
 	res, err := el.RunToCompletion(10, 1000)
@@ -101,21 +114,11 @@ func main() {
 	fmt.Printf("finished in state %s after %d cycles (completed=%v)\n",
 		res.FinalState, res.Cycles, res.Completed)
 	fmt.Println("accumulator trace:", probe.Dump())
-	fmt.Println("sink captured:", el.Sinks["cap"].Recorded())
+	fmt.Println("sink captured:", el.Component("cap").(*operators.Sink).Recorded())
 	if assertion.Failed() {
 		fmt.Println("assertion violations:", assertion.Violations())
 	} else {
 		fmt.Println("assertion held: accumulator never negative")
 	}
 	fmt.Println("waveforms:", vcdFile.Name())
-
-	// The same hand-written design also validates against the dialect
-	// schema, like compiler output does.
-	if err := xmlspec.ValidateDatapath(dp, operators.DefaultRegistry()); err != nil {
-		log.Fatal(err)
-	}
-	if err := xmlspec.ValidateFSM(fsm); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("hand-written XML validates against the dialect schemas")
 }

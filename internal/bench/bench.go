@@ -177,7 +177,7 @@ func Load(dir string) (map[string]*Result, error) {
 // (Mismatch set).
 type Regression struct {
 	Name     string
-	Metric   string  // "events/sec" (lower is worse) or "allocs/event" (higher is worse)
+	Metric   string  // "events/sec" (lower is worse), "allocs/event" (higher is worse), or an exact count: "events", "cycles", "configs"
 	Baseline float64 // baseline value of the metric
 	Current  float64 // current value of the metric
 	Ratio    float64 // current / baseline
@@ -189,8 +189,11 @@ func (r Regression) String() string {
 		return fmt.Sprintf("%s: %s", r.Name, r.Mismatch)
 	}
 	metric := r.Metric
-	if metric == "" {
+	switch metric {
+	case "":
 		metric = "events/sec"
+	case "events", "cycles", "configs":
+		return fmt.Sprintf("%s: %.0f %s vs baseline %.0f (must match exactly)", r.Name, r.Current, metric, r.Baseline)
 	}
 	return fmt.Sprintf("%s: %.4g %s vs baseline %.4g (%.2fx)",
 		r.Name, r.Current, metric, r.Baseline, r.Ratio)
@@ -202,12 +205,15 @@ func (r Regression) String() string {
 // a 25% relative check.
 const allocFloor = 0.05
 
-// Compare checks current results against a baseline on two metrics:
-// events/sec must stay within threshold below baseline (e.g. 0.25
-// fails below 75%), and allocs/event must stay within threshold above
-// baseline (0.25 fails past 125%, with allocFloor absolute slack so
-// near-zero baselines don't gate on noise) — a perf win that paid for
-// itself in garbage is a regression too. A missing current result is
+// Compare checks current results against a baseline. The simulated
+// work must match exactly: events, cycles and configs are deterministic
+// counts, so any difference is a regression, with no threshold. Two
+// timing metrics gate within threshold: events/sec must stay within
+// threshold below baseline (e.g. 0.25 fails below 75%), and
+// allocs/event within threshold above baseline (0.25 fails past 125%,
+// with allocFloor absolute slack so near-zero baselines don't gate on
+// noise) — a perf win that paid for itself in garbage is a regression
+// too. A missing current result is
 // reported as a regression with zero throughput so a silently-dropped
 // scenario can never pass the gate, and a backend mismatch between a
 // result and its baseline is reported as incomparable — gating a
@@ -238,6 +244,18 @@ func Compare(current, baseline map[string]*Result, threshold float64) []Regressi
 				Mismatch: fmt.Sprintf("ran on backend %q but baseline was recorded on %q", cur.Backend, base.Backend),
 			})
 			continue
+		}
+		for _, n := range []struct {
+			metric    string
+			base, cur uint64
+		}{
+			{"events", base.Events, cur.Events},
+			{"cycles", base.Cycles, cur.Cycles},
+			{"configs", base.Configs, cur.Configs},
+		} {
+			if n.cur != n.base {
+				regs = append(regs, Regression{Name: name, Metric: n.metric, Baseline: float64(n.base), Current: float64(n.cur)})
+			}
 		}
 		if ratio := cur.EventsPerSec / base.EventsPerSec; ratio < 1-threshold {
 			regs = append(regs, Regression{

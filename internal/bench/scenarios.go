@@ -11,6 +11,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/hades"
 	"repro/internal/netlist"
+	"repro/internal/operators"
 	"repro/internal/scenario"
 	"repro/internal/workloads"
 	"repro/internal/xmlspec"
@@ -536,11 +537,22 @@ func prepareHandcrafted(backend string) func() (RunFunc, error) {
 		}
 		dp, fsm := handcraftedDesign()
 		return func() (Measure, error) {
+			// Validation and resolution run inside each measure, so
+			// allocs/event counts the whole path from hand-written XML
+			// to a running netlist; the wall clock covers the run only.
+			if err := xmlspec.ValidateDatapath(dp, operators.DefaultRegistry()); err != nil {
+				return Measure{}, err
+			}
+			if err := xmlspec.ValidateFSM(fsm); err != nil {
+				return Measure{}, err
+			}
+			plan, err := netlist.Resolve(dp, fsm)
+			if err != nil {
+				return Measure{}, err
+			}
 			sim := be.New()
 			clk := sim.NewSignal("clk", 1)
-			el, err := netlist.Elaborate(sim, clk, dp, fsm, netlist.Options{
-				InitData: map[string][]int64{"src": stimulus},
-			})
+			el, err := netlist.Elaborate(sim, clk, plan, map[string][]int64{"src": stimulus})
 			if err != nil {
 				return Measure{}, err
 			}

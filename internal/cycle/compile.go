@@ -25,9 +25,9 @@ import (
 
 	"repro/internal/fsmsim"
 	"repro/internal/hades"
+	"repro/internal/netlist"
 	"repro/internal/operators"
 	"repro/internal/rtg"
-	"repro/internal/xmlspec"
 )
 
 // Engine is the compiled cycle-based execution engine, satisfying
@@ -41,14 +41,15 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) EngineName() string { return "compiled" }
 
 // CompileConfiguration levelizes one configuration for the controller.
-func (e *Engine) CompileConfiguration(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (rtg.ConfigProgram, error) {
-	return Compile(dp, fsm, reg)
+func (e *Engine) CompileConfiguration(plan *netlist.Plan) (rtg.ConfigProgram, error) {
+	return Compile(plan)
 }
 
 // slotInfo describes one value slot — the compiled counterpart of a
-// hades.Signal. Names match the event elaboration's wire keys
-// ("op.port" producer endpoints, "ctl.<name>" control lines, "gnd"), so
-// traces from both engines compare by name.
+// hades.Signal. The plan's slots come first, in plan order and under
+// the plan's names ("op.port" producer endpoints, "ctl.<name>" control
+// lines), then "gnd" when an input ties to ground, so traces from both
+// engines compare row by row.
 type slotInfo struct {
 	name  string
 	mask  uint64 // hades.Mask at the slot width
@@ -115,6 +116,7 @@ type ramNode struct {
 // the event elaboration reseeds components absent from a replay's init.
 type memSpec struct {
 	id    string
+	ref   string // RTG shared memory, "" when local
 	mask  uint64 // word width, as for slots
 	shift uint
 	depth int
@@ -132,11 +134,6 @@ type sinkNode struct {
 	in, en int // en -1: sample every edge
 }
 
-type fsmTrans struct {
-	cond fsmsim.Cond
-	next int
-}
-
 // fsmState precomputes one state's Moore outputs over the declared
 // output order (unassigned outputs are 0, as fsmsim drives them), each
 // masked to its control slot.
@@ -144,7 +141,7 @@ type fsmState struct {
 	name  string
 	final bool
 	outs  []uint64
-	trans []fsmTrans
+	trans []fsmsim.Transition
 }
 
 type constSet struct {
@@ -169,18 +166,16 @@ type Program struct {
 	stims  []stimNode
 	sinks  []sinkNode
 
-	states     []fsmState
-	initial    int
-	ctlSlots   []int // per declared FSM output, in declaration order
-	statusSlot map[string]int
-	done       int // ctl slot of the "done" output, -1 when undeclared
+	states   []fsmState
+	initial  int
+	ctlSlots []int // per declared FSM output, in declaration order
+	inSlots  []int // per declared FSM input: the status slot its guards read
+	done     int   // ctl slot of the "done" output, -1 when undeclared
 
 	// perCycle is every element's reaction count on one clock edge: each
 	// register, RAM, stimulus, sink and comb node plus the FSM reacts
 	// once per armed lane, so Run adds it in bulk.
 	perCycle uint64
-
-	memByRef map[string]int
 }
 
 // Name returns the datapath name the program was compiled from.
@@ -199,36 +194,113 @@ func (p *Program) SlotNames() []string {
 // Instantiate allocates runnable state for the given lane count.
 func (p *Program) Instantiate(lanes int) rtg.ConfigInstance { return p.NewInstance(lanes) }
 
-// tieDefaults mirrors netlist's list of input ports that may be left
-// undriven and are tied to constant zero.
-var tieDefaults = map[string][]string{
-	"ram":  {"we", "din"},
-	"sink": {"en"},
-}
+// Compile levelizes a resolved configuration: every operator kind the
+// library declares lowers to its node, reading the word function its
+// spec carries, and the FSM binds through the plan's state table.
+func Compile(pl *netlist.Plan) (*Program, error) {
+	p := &Program{name: pl.Name(), gnd: -1, done: pl.DoneSlot()}
+	addSlot := func(name string, width int) int {
+		p.slots = append(p.slots, slotInfo{name: name, mask: widthMask(width), shift: widthShift(width)})
+		return len(p.slots) - 1
+	}
+	for _, s := range pl.Slots() {
+		addSlot(s.Name, s.Width)
+	}
+	// in returns the slot an input reads: its driver, the ground slot,
+	// or -1 when an open input is undriven.
+	in := func(d netlist.Driver) int {
+		switch {
+		case d >= 0:
+			return int(d)
+		case d == netlist.Ground:
+			if p.gnd < 0 {
+				p.gnd = addSlot("gnd", 64)
+			}
+			return p.gnd
+		}
+		return -1
+	}
 
-func tieable(typ, port string) bool {
-	for _, p := range tieDefaults[typ] {
-		if p == port {
-			return true
+	ops := pl.Ops()
+	for i := range ops {
+		op := &ops[i]
+		param, pin := op.Params, op.Pin
+		switch op.Spec.Kind {
+		case operators.KindConst:
+			p.consts = append(p.consts, constSet{slot: int(pin("y")), val: param.Value})
+
+		case operators.KindUnary:
+			a, y := in(pin("a")), int(pin("y"))
+			p.comb = append(p.comb, combNode{
+				kind: combUnary, width: opWidth(param), y: y, mask: p.slots[y].mask,
+				a: a, ash: p.slots[a].shift, un: op.Spec.Unary,
+			})
+
+		case operators.KindBinary:
+			a, b, y := in(pin("a")), in(pin("b")), int(pin("y"))
+			p.comb = append(p.comb, combNode{
+				kind: combBinary, width: opWidth(param), y: y, mask: p.slots[y].mask,
+				a: a, b: b, ash: p.slots[a].shift, bsh: p.slots[b].shift, bin: op.Spec.Binary,
+			})
+
+		case operators.KindMux:
+			n := operators.MuxInputs(param)
+			y := int(pin("y"))
+			node := combNode{kind: combMux, y: y, mask: p.slots[y].mask, sel: in(pin("sel"))}
+			for _, d := range op.Pins[:n] { // in0..in<n-1>
+				node.ins = append(node.ins, in(d))
+			}
+			p.comb = append(p.comb, node)
+
+		case operators.KindReg:
+			p.regs = append(p.regs, regNode{
+				id: op.ID, d: in(pin("d")), q: int(pin("q")),
+				en: in(pin("en")), rst: in(pin("rst")), init: param.Value,
+			})
+
+		case operators.KindRAM:
+			mem, addr, dout := p.addMem(op, op.Ref), in(pin("addr")), int(pin("dout"))
+			p.rams = append(p.rams, ramNode{id: op.ID, mem: mem, addr: addr, din: in(pin("din")), we: in(pin("we")), dout: dout})
+			p.comb = append(p.comb, combNode{kind: combMemRead, a: addr, y: dout, mask: p.slots[dout].mask, mem: mem})
+
+		case operators.KindROM:
+			dout := int(pin("dout"))
+			p.comb = append(p.comb, combNode{kind: combMemRead, a: in(pin("addr")), y: dout, mask: p.slots[dout].mask, mem: p.addMem(op, "")})
+
+		case operators.KindStim:
+			p.stims = append(p.stims, stimNode{id: op.ID, out: int(pin("out")), last: int(pin("last")), init: param.Init})
+
+		case operators.KindSink:
+			p.sinks = append(p.sinks, sinkNode{id: op.ID, in: in(pin("in")), en: in(pin("en"))})
+
+		default:
+			return nil, fmt.Errorf("cycle: %s: operator %q: type %q has no compiled model", p.name, op.ID, op.Spec.Type)
 		}
 	}
-	return false
-}
 
-var unaryFns = map[string]operators.UnaryFn{
-	"neg":  operators.WordNeg,
-	"not":  operators.WordNot,
-	"lnot": operators.WordLNot,
-	"b2i":  operators.WordB2I,
-}
+	// Bind the FSM: guards read the status slots, Moore outputs are
+	// precomputed per state over the declared output order.
+	tab := pl.FSM()
+	for o := range tab.Outputs {
+		p.ctlSlots = append(p.ctlSlots, pl.ControlSlot(o))
+	}
+	for i := range tab.Inputs {
+		p.inSlots = append(p.inSlots, pl.StatusSlot(i))
+	}
+	for _, st := range tab.States {
+		fs := fsmState{name: st.Name, final: st.Final, outs: make([]uint64, len(st.Out)), trans: st.Next}
+		for o, v := range st.Out {
+			fs.outs[o] = uint64(v) & p.slots[p.ctlSlots[o]].mask
+		}
+		p.states = append(p.states, fs)
+	}
+	p.initial = tab.Initial
+	p.perCycle = uint64(len(p.regs) + 1 + len(p.rams) + len(p.stims) + len(p.sinks) + len(p.comb))
 
-var binaryFns = map[string]operators.BinaryFn{
-	"add": operators.WordAdd, "sub": operators.WordSub, "mul": operators.WordMul,
-	"div": operators.WordDiv, "mod": operators.WordMod,
-	"and": operators.WordAnd, "or": operators.WordOr, "xor": operators.WordXor,
-	"shl": operators.WordShl, "shr": operators.WordShr, "sra": operators.WordSra,
-	"eq": operators.WordEq, "ne": operators.WordNe, "lt": operators.WordLt,
-	"le": operators.WordLe, "gt": operators.WordGt, "ge": operators.WordGe,
+	if err := p.levelize(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 func opWidth(p operators.Params) int {
@@ -238,295 +310,12 @@ func opWidth(p operators.Params) int {
 	return p.Width
 }
 
-// Compile levelizes a configuration. The registry resolves operator
-// port shapes exactly as netlist elaboration does; operator types
-// without a compiled model (custom registry entries) are rejected —
-// they exist only as event-kernel reactors.
-func Compile(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (*Program, error) {
-	if reg == nil {
-		reg = operators.DefaultRegistry()
-	}
-	if err := xmlspec.ValidateDatapath(dp, reg); err != nil {
-		return nil, err
-	}
-	if err := xmlspec.ValidateFSM(fsm); err != nil {
-		return nil, err
-	}
-
-	p := &Program{
-		name:       dp.Name,
-		gnd:        -1,
-		done:       -1,
-		statusSlot: map[string]int{},
-		memByRef:   map[string]int{},
-	}
-	slotOf := map[string]int{} // producer endpoint -> slot
-	addSlot := func(name string, width int) int {
-		p.slots = append(p.slots, slotInfo{name: name, mask: widthMask(width), shift: widthShift(width)})
-		return len(p.slots) - 1
-	}
-
-	// Pass 1: one slot per operator output port, mirroring the event
-	// elaboration's per-output signals.
-	type pend struct {
-		op    *xmlspec.Operator
-		param operators.Params
-		ports []operators.PortSpec
-	}
-	var todo []pend
-	for i := range dp.Operators {
-		op := &dp.Operators[i]
-		spec, _ := reg.Lookup(op.Type)
-		param := xmlspec.ParamsOf(op, dp.Width)
-		ports := spec.Ports(param)
-		for _, ps := range ports {
-			if ps.Dir == operators.Out {
-				ep := op.ID + "." + ps.Name
-				slotOf[ep] = addSlot(ep, ps.Width)
-			}
-		}
-		todo = append(todo, pend{op: op, param: param, ports: ports})
-	}
-
-	// Control slots: one per FSM output, widened to the datapath's
-	// declared control width when that is larger.
-	ctlWidth := map[string]int{}
-	for _, c := range dp.Controls {
-		ctlWidth[c.Name] = c.ControlWidth()
-	}
-	ctlSlot := map[string]int{}
-	for _, out := range fsm.Outputs {
-		w := out.SignalWidth()
-		if dw, ok := ctlWidth[out.Name]; ok && dw > w {
-			w = dw
-		}
-		ctlSlot[out.Name] = addSlot("ctl."+out.Name, w)
-	}
-	for _, c := range dp.Controls {
-		if _, ok := ctlSlot[c.Name]; !ok {
-			return nil, fmt.Errorf("cycle: %s: control %q has no FSM output", dp.Name, c.Name)
-		}
-	}
-
-	// Drive map: input endpoint -> driving slot.
-	drive := map[string]int{}
-	for _, cn := range dp.Connections {
-		src, ok := slotOf[cn.From]
-		if !ok {
-			return nil, fmt.Errorf("cycle: %s: connect from unknown output %q", dp.Name, cn.From)
-		}
-		drive[cn.To] = src
-	}
-	for _, c := range dp.Controls {
-		for _, to := range c.Targets {
-			drive[to.Port] = ctlSlot[c.Name]
-		}
-	}
-
-	// Status lines alias operator outputs.
-	for _, st := range dp.Statuses {
-		src, ok := slotOf[st.From]
-		if !ok {
-			return nil, fmt.Errorf("cycle: %s: status %q from unknown output %q", dp.Name, st.Name, st.From)
-		}
-		p.statusSlot[st.Name] = src
-	}
-
-	ground := func() int {
-		if p.gnd < 0 {
-			p.gnd = addSlot("gnd", 64)
-		}
-		return p.gnd
-	}
-	need := func(op *xmlspec.Operator, port string) (int, error) {
-		ep := op.ID + "." + port
-		if s, ok := drive[ep]; ok {
-			return s, nil
-		}
-		if tieable(op.Type, port) {
-			return ground(), nil
-		}
-		return -1, fmt.Errorf("cycle: %s: instance %q: port %q not connected", dp.Name, op.ID, port)
-	}
-	opt := func(op *xmlspec.Operator, port string) int {
-		if s, ok := drive[op.ID+"."+port]; ok {
-			return s
-		}
-		return -1
-	}
-
-	// Pass 2: compile each operator to its node.
-	for _, pd := range todo {
-		op, param := pd.op, pd.param
-		switch {
-		case op.Type == "const":
-			p.consts = append(p.consts, constSet{slot: slotOf[op.ID+".y"], val: param.Value})
-
-		case unaryFns[op.Type] != nil:
-			a, err := need(op, "a")
-			if err != nil {
-				return nil, err
-			}
-			y := slotOf[op.ID+".y"]
-			p.comb = append(p.comb, combNode{
-				kind: combUnary, width: opWidth(param), y: y, mask: p.slots[y].mask,
-				a: a, ash: p.slots[a].shift, un: unaryFns[op.Type],
-			})
-
-		case binaryFns[op.Type] != nil:
-			a, err := need(op, "a")
-			if err != nil {
-				return nil, err
-			}
-			b, err := need(op, "b")
-			if err != nil {
-				return nil, err
-			}
-			y := slotOf[op.ID+".y"]
-			p.comb = append(p.comb, combNode{
-				kind: combBinary, width: opWidth(param), y: y, mask: p.slots[y].mask,
-				a: a, b: b, ash: p.slots[a].shift, bsh: p.slots[b].shift, bin: binaryFns[op.Type],
-			})
-
-		case op.Type == "mux":
-			n := param.Inputs
-			if n < 2 {
-				n = 2
-			}
-			y := slotOf[op.ID+".y"]
-			node := combNode{kind: combMux, y: y, mask: p.slots[y].mask}
-			for i := 0; i < n; i++ {
-				in, err := need(op, fmt.Sprintf("in%d", i))
-				if err != nil {
-					return nil, err
-				}
-				node.ins = append(node.ins, in)
-			}
-			sel, err := need(op, "sel")
-			if err != nil {
-				return nil, err
-			}
-			node.sel = sel
-			p.comb = append(p.comb, node)
-
-		case op.Type == "reg":
-			d, err := need(op, "d")
-			if err != nil {
-				return nil, err
-			}
-			p.regs = append(p.regs, regNode{
-				id: op.ID, d: d, q: slotOf[op.ID+".q"],
-				en: opt(op, "en"), rst: opt(op, "rst"), init: param.Value,
-			})
-
-		case op.Type == "ram":
-			if param.Depth <= 0 {
-				return nil, fmt.Errorf("cycle: %s: ram %q needs a positive depth", dp.Name, op.ID)
-			}
-			addr, err := need(op, "addr")
-			if err != nil {
-				return nil, err
-			}
-			din, err := need(op, "din")
-			if err != nil {
-				return nil, err
-			}
-			we, err := need(op, "we")
-			if err != nil {
-				return nil, err
-			}
-			mem := p.addMem(op, param)
-			if op.Ref != "" {
-				p.memByRef[op.Ref] = mem
-			}
-			dout := slotOf[op.ID+".dout"]
-			p.rams = append(p.rams, ramNode{id: op.ID, mem: mem, addr: addr, din: din, we: we, dout: dout})
-			p.comb = append(p.comb, combNode{kind: combMemRead, a: addr, y: dout, mask: p.slots[dout].mask, mem: mem})
-
-		case op.Type == "rom":
-			if param.Depth <= 0 {
-				return nil, fmt.Errorf("cycle: %s: rom %q needs a positive depth", dp.Name, op.ID)
-			}
-			addr, err := need(op, "addr")
-			if err != nil {
-				return nil, err
-			}
-			dout := slotOf[op.ID+".dout"]
-			p.comb = append(p.comb, combNode{kind: combMemRead, a: addr, y: dout, mask: p.slots[dout].mask, mem: p.addMem(op, param)})
-
-		case op.Type == "stim":
-			p.stims = append(p.stims, stimNode{id: op.ID, out: slotOf[op.ID+".out"], last: slotOf[op.ID+".last"], init: param.Init})
-
-		case op.Type == "sink":
-			in, err := need(op, "in")
-			if err != nil {
-				return nil, err
-			}
-			en, err := need(op, "en") // tied to gnd when unconnected, as netlist does
-			if err != nil {
-				return nil, err
-			}
-			p.sinks = append(p.sinks, sinkNode{id: op.ID, in: in, en: en})
-
-		default:
-			return nil, fmt.Errorf("cycle: %s: operator %q: type %q has no compiled model", dp.Name, op.ID, op.Type)
-		}
-	}
-
-	// Bind the FSM: transition guards over status slots, Moore outputs
-	// precomputed per state over the declared output order.
-	known := map[string]bool{}
-	for _, in := range fsm.Inputs {
-		if _, ok := p.statusSlot[in.Name]; !ok {
-			return nil, fmt.Errorf("cycle: %s: FSM input %q has no datapath status", dp.Name, in.Name)
-		}
-		known[in.Name] = true
-	}
-	for _, out := range fsm.Outputs {
-		p.ctlSlots = append(p.ctlSlots, ctlSlot[out.Name])
-	}
-	byName := map[string]int{}
-	for i, st := range fsm.States {
-		byName[st.Name] = i
-	}
-	for _, st := range fsm.States {
-		fs := fsmState{name: st.Name, final: st.Final, outs: make([]uint64, len(fsm.Outputs))}
-		for o, sig := range fsm.Outputs {
-			for _, a := range st.Assigns {
-				if a.Signal == sig.Name {
-					fs.outs[o] = uint64(a.Value) & p.slots[p.ctlSlots[o]].mask
-					break
-				}
-			}
-		}
-		for _, tr := range st.Transitions {
-			cond, err := fsmsim.ParseCond(tr.Cond, known)
-			if err != nil {
-				return nil, fmt.Errorf("cycle: %s state %s: %w", fsm.Name, st.Name, err)
-			}
-			fs.trans = append(fs.trans, fsmTrans{cond: cond, next: byName[tr.Next]})
-		}
-		p.states = append(p.states, fs)
-		if st.Initial {
-			p.initial = len(p.states) - 1
-		}
-	}
-	if d, ok := ctlSlot["done"]; ok {
-		p.done = d
-	}
-	p.perCycle = uint64(len(p.regs) + 1 + len(p.rams) + len(p.stims) + len(p.sinks) + len(p.comb))
-
-	if err := p.levelize(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// addMem appends a RAM/ROM's backing storage, returning its index.
-func (p *Program) addMem(op *xmlspec.Operator, param operators.Params) int {
-	w := opWidth(param)
-	p.mems = append(p.mems, memSpec{id: op.ID, mask: widthMask(w), shift: widthShift(w),
-		depth: param.Depth, init: param.Init})
+// addMem appends a RAM/ROM's backing storage, returning its index; ref
+// is the shared memory a RAM writes back to.
+func (p *Program) addMem(op *netlist.Op, ref string) int {
+	w := opWidth(op.Params)
+	p.mems = append(p.mems, memSpec{id: op.ID, ref: ref, mask: widthMask(w), shift: widthShift(w),
+		depth: op.Params.Depth, init: op.Params.Init})
 	return len(p.mems) - 1
 }
 

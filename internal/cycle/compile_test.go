@@ -1,14 +1,26 @@
 package cycle_test
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/cycle"
-	"repro/internal/hades"
+	"repro/internal/netlist"
 	"repro/internal/operators"
 	"repro/internal/xmlspec"
 )
+
+// compile resolves a datapath/FSM pair and levelizes the plan.
+func compile(t *testing.T, dp *xmlspec.Datapath, fsm *xmlspec.FSM) (*cycle.Program, error) {
+	t.Helper()
+	plan, err := netlist.Resolve(dp, fsm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cycle.Compile(plan)
+}
 
 // loopFSM is the smallest control unit binding one status line.
 func loopFSM(status string) *xmlspec.FSM {
@@ -40,7 +52,7 @@ func TestCompileRejectsCombinationalLoop(t *testing.T) {
 		},
 		Statuses: []xmlspec.Status{{Name: "s", From: "n0.y"}},
 	}
-	_, err := cycle.Compile(dp, loopFSM("s"), nil)
+	_, err := compile(t, dp, loopFSM("s"))
 	if err == nil || !strings.Contains(err.Error(), "combinational loop") {
 		t.Fatalf("want combinational-loop error, got %v", err)
 	}
@@ -49,30 +61,61 @@ func TestCompileRejectsCombinationalLoop(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsUnmodeledOperator: custom registry entries exist
-// only as event-kernel reactors; the cycle compiler must reject them
-// rather than silently miscompute.
-func TestCompileRejectsUnmodeledOperator(t *testing.T) {
-	reg := operators.DefaultRegistry()
-	reg.Register(&operators.Spec{
-		Type: "mystery",
-		Ports: func(p operators.Params) []operators.PortSpec {
-			return []operators.PortSpec{{Name: "y", Dir: operators.Out, Width: 32}}
-		},
-		Build: func(sim *hades.Simulator, id string, p operators.Params, conn map[string]*hades.Signal) (hades.Reactor, error) {
-			return &hades.ReactorFunc{Label: id, Fn: func(*hades.Simulator) {}}, nil
-		},
-	})
-	dp := &xmlspec.Datapath{
-		Name:      "custom",
-		Width:     32,
-		Operators: []xmlspec.Operator{{ID: "x0", Type: "mystery"}},
-		Statuses:  []xmlspec.Status{{Name: "s", From: "x0.y"}},
+// TestEveryLibraryTypeRunsOnBothEngines: every operator type the
+// library declares resolves, elaborates on the event kernel, compiles
+// on the cycle engine, and runs to the same value on every slot at
+// every clock edge — so a type added without a compiled model fails
+// here, not in a user's run.
+func TestEveryLibraryTypeRunsOnBothEngines(t *testing.T) {
+	types := operators.DefaultRegistry().Types()
+	sort.Strings(types)
+	for _, typ := range types {
+		typ := typ
+		t.Run(typ, func(t *testing.T) {
+			dp := oneOperator(typ)
+			fsm := &xmlspec.FSM{
+				Name:    "steps",
+				Outputs: []xmlspec.FSMSignal{{Name: "done"}},
+				States: []xmlspec.State{
+					{Name: "S0", Initial: true, Transitions: []xmlspec.Transition{{Next: "S1"}}},
+					{Name: "S1", Transitions: []xmlspec.Transition{{Next: "E"}}},
+					{Name: "E", Final: true, Assigns: []xmlspec.Assign{{Signal: "done", Value: 1}}},
+				},
+			}
+			design := &xmlspec.Design{
+				RTG: &xmlspec.RTG{Name: typ, Start: "c",
+					Configurations: []xmlspec.Configuration{{ID: "c", Datapath: dp.Name, FSM: fsm.Name}}},
+				Datapaths: map[string]*xmlspec.Datapath{dp.Name: dp},
+				FSMs:      map[string]*xmlspec.FSM{fsm.Name: fsm},
+			}
+			if err := xmlspec.ValidateDesign(design, operators.DefaultRegistry()); err != nil {
+				t.Fatal(err)
+			}
+			ev := walkEvent(t, design, map[string][]int64{}, 10)
+			cy := walkCycle(t, design, map[string][]int64{}, 10)
+			compareWalks(t, ev, cy)
+			if len(ev) != 1 || !ev[0].completed {
+				t.Fatalf("the one configuration must complete: %+v", ev)
+			}
+		})
 	}
-	_, err := cycle.Compile(dp, loopFSM("s"), reg)
-	if err == nil || !strings.Contains(err.Error(), "no compiled model") {
-		t.Fatalf("want no-compiled-model error, got %v", err)
+}
+
+// oneOperator is a datapath holding one operator of the given type,
+// every input it must have driven fed by a constant of its width.
+func oneOperator(typ string) *xmlspec.Datapath {
+	x := xmlspec.Operator{ID: "x", Type: typ, Width: 8, Value: 5, Depth: 4, Inputs: 3}
+	dp := &xmlspec.Datapath{Name: "one-" + typ, Operators: []xmlspec.Operator{x}}
+	spec, _ := operators.DefaultRegistry().Lookup(typ)
+	for i, ps := range spec.Ports(xmlspec.ParamsOf(&x, 0)) {
+		if ps.Dir != operators.In || ps.Bind != operators.Driven {
+			continue
+		}
+		c := fmt.Sprintf("c%d", i)
+		dp.Operators = append(dp.Operators, xmlspec.Operator{ID: c, Type: "const", Width: ps.Width, Value: int64(i + 1)})
+		dp.Connections = append(dp.Connections, xmlspec.Connection{From: c + ".y", To: "x." + ps.Name})
 	}
+	return dp
 }
 
 // TestRunRejectsShortPeriod mirrors hades.NewClock's period floor as an
@@ -84,7 +127,7 @@ func TestRunRejectsShortPeriod(t *testing.T) {
 		Operators: []xmlspec.Operator{{ID: "c0", Type: "const", Value: 1}},
 		Statuses:  []xmlspec.Status{{Name: "s", From: "c0.y"}},
 	}
-	prog, err := cycle.Compile(dp, loopFSM("s"), nil)
+	prog, err := compile(t, dp, loopFSM("s"))
 	if err != nil {
 		t.Fatal(err)
 	}

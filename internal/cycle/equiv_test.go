@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
-	"repro/internal/cycle"
 	"repro/internal/hades"
 	"repro/internal/lang"
 	"repro/internal/netlist"
+	"repro/internal/operators"
 	"repro/internal/workloads"
 	"repro/internal/xmlspec"
 )
@@ -95,9 +95,13 @@ func walkEvent(t *testing.T, design *xmlspec.Design, store map[string][]int64, p
 		}
 		dp := design.Datapaths[cfg.Datapath]
 		fsm := design.FSMs[cfg.FSM]
+		plan, err := netlist.Resolve(dp, fsm)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sim := hades.NewSimulator()
 		clk := sim.NewSignal(cfg.ID+".clk", 1)
-		el, err := netlist.Elaborate(sim, clk, dp, fsm, netlist.Options{InitData: configSeeds(dp, store)})
+		el, err := netlist.Elaborate(sim, clk, plan, configSeeds(dp, store))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,16 +110,21 @@ func walkEvent(t *testing.T, design *xmlspec.Design, store map[string][]int64, p
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ref, ram := range el.Shared {
-			ram.CopyContents(store[ref])
-		}
 		v := visit{
 			id: cfg.ID, cycles: rr.Cycles, endTime: rr.EndTime,
 			completed: rr.Completed, finalState: rr.FinalState,
 			sinks: map[string][]int64{}, keys: tr.Keys(), rows: tr.Rows(),
 		}
-		for id, sink := range el.Sinks {
-			v.sinks[id] = append([]int64(nil), sink.Recorded()...)
+		for i, comp := range el.Components() {
+			op := plan.Ops()[i]
+			switch x := comp.(type) {
+			case *operators.RAM:
+				if op.Ref != "" {
+					x.CopyContents(store[op.Ref])
+				}
+			case *operators.Sink:
+				v.sinks[op.ID] = append([]int64(nil), x.Recorded()...)
+			}
 		}
 		visits = append(visits, v)
 		if !rr.Completed {
@@ -137,7 +146,7 @@ func walkCycle(t *testing.T, design *xmlspec.Design, store map[string][]int64, p
 			t.Fatalf("unknown configuration %q", cur)
 		}
 		dp := design.Datapaths[cfg.Datapath]
-		prog, err := cycle.Compile(dp, design.FSMs[cfg.FSM], nil)
+		prog, err := compile(t, dp, design.FSMs[cfg.FSM])
 		if err != nil {
 			t.Fatal(err)
 		}

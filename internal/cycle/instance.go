@@ -138,14 +138,10 @@ type laneEnv struct {
 	lane int
 }
 
-// Truth is true when the named status is defined and non-zero.
-func (e *laneEnv) Truth(name string) bool {
-	s, ok := e.in.p.statusSlot[name]
-	if !ok {
-		return false
-	}
-	i := s*e.in.lanes + e.lane
-	return e.in.valid[i] && e.in.vals[i] != 0
+// Truth is true when status input i is defined and non-zero.
+func (e *laneEnv) Truth(i int) bool {
+	j := e.in.p.inSlots[i]*e.in.lanes + e.lane
+	return e.in.valid[j] && e.in.vals[j] != 0
 }
 
 // Reset rewinds one lane to the program's initial state and arms it:
@@ -350,8 +346,8 @@ func (in *Instance) phaseA() {
 		}
 		env.lane = l
 		for _, tr := range p.states[in.state[l]].trans {
-			if tr.cond.Eval(env) {
-				in.state[l] = tr.next
+			if tr.Cond.Eval(env) {
+				in.state[l] = tr.To
 				break
 			}
 		}
@@ -546,8 +542,11 @@ func (in *Instance) Sinks(lane int) map[string][]int64 {
 // shared-memory ref into dst as sign-extended words, reporting whether
 // the ref exists in this configuration.
 func (in *Instance) CopyShared(lane int, ref string, dst []int64) bool {
-	m, ok := in.p.memByRef[ref]
-	if !ok {
+	m := len(in.p.mems) - 1 // the last RAM bound to ref, as the event path keeps
+	for m >= 0 && in.p.mems[m].ref != ref {
+		m--
+	}
+	if ref == "" || m < 0 {
 		return false
 	}
 	ms := &in.p.mems[m]

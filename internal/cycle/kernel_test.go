@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/cycle"
 	"repro/internal/workloads"
 	"repro/internal/xmlspec"
 )
@@ -50,7 +49,7 @@ type addrLane struct {
 
 func runAddr(t *testing.T, lanes []map[string][]int64) []addrLane {
 	t.Helper()
-	prog, err := cycle.Compile(addrDatapath(), holdFSM(), nil)
+	prog, err := compile(t, addrDatapath(), holdFSM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,7 @@ func TestInstanceSteadyStateAllocs(t *testing.T) {
 	design := compileDesign(t, cs)
 	cfg, _ := design.RTG.FindConfiguration(design.RTG.Start)
 	dp := design.Datapaths[cfg.Datapath]
-	prog, err := cycle.Compile(dp, design.FSMs[cfg.FSM], nil)
+	prog, err := compile(t, dp, design.FSMs[cfg.FSM])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/hades"
 	"repro/internal/netlist"
-	"repro/internal/operators"
 	"repro/internal/rtg"
 )
 
@@ -58,11 +57,11 @@ type Config struct {
 	EmitArtifacts  bool       // also write dot/java/hds translations (requires WorkDir)
 	Backend        string     // simulator backend name; "" means DefaultBackend
 	// FreshElaboration disables the reconfiguration replay cache:
-	// every configuration visit rebuilds simulator and netlist (the
-	// paper's original flow). See WithFreshElaboration.
+	// every configuration visit rebuilds simulator and netlist from the
+	// configuration's cached plan (the paper's original flow). See
+	// WithFreshElaboration.
 	FreshElaboration bool
 	Context          context.Context
-	Registry         *operators.Registry
 	Observers        []Observer
 }
 
@@ -98,8 +97,9 @@ func WithBackend(name string) Option { return func(c *Config) { c.Backend = name
 
 // WithFreshElaboration(true) disables the reconfiguration replay cache,
 // rebuilding every configuration on a fresh simulator per visit — the
-// paper's original reconfiguration cost. The default (false) resets and
-// replays cached elaborations on repeat visits, which is
+// paper's original reconfiguration cost, less the resolution each
+// configuration's plan keeps from its first visit. The default (false)
+// resets and replays cached elaborations on repeat visits, which is
 // trace-identical and is what makes Prepare-once/Run-many cheap; this
 // option exists for A/B measurement (the bench fresh-* scenarios) and
 // cross-checking.
@@ -110,10 +110,6 @@ func WithFreshElaboration(fresh bool) Option {
 // WithContext threads a cancellation context through every stage; the
 // event kernel polls it once per simulated instant.
 func WithContext(ctx context.Context) Option { return func(c *Config) { c.Context = ctx } }
-
-// WithRegistry overrides the operator registry used for validation and
-// elaboration.
-func WithRegistry(r *operators.Registry) Option { return func(c *Config) { c.Registry = r } }
 
 // WithObserver attaches a streaming observer; repeatable, observers are
 // notified in attachment order.
@@ -179,7 +175,6 @@ func (p *Pipeline) ctxErr(stage StageName, name string) error {
 // where the flow defaults meet it.
 func (p *Pipeline) rtgOptions() rtg.Options {
 	return rtg.Options{
-		Registry:      p.cfg.Registry,
 		ClockPeriod:   p.cfg.ClockPeriod,
 		MaxCycles:     p.cfg.MaxCycles,
 		MaxConfigs:    p.cfg.MaxConfigs,

@@ -77,7 +77,11 @@ func TestTableILoCGolden(t *testing.T) {
 // TestCompileRendersNoViews pins the compile stage to the front end's
 // cost: Pipeline.Compile may allocate at most 16 more times than
 // lang.Parse plus compiler.Compile on the same source, so it renders
-// no XML or Java views a caller did not ask for.
+// no XML or Java views a caller did not ask for. Race builds drop
+// sync.Pool puts at random, and fmt pools its printers, so there the
+// counts move by 10-30 a run; the race bound is half of what rendering
+// the views allocates, which that noise cannot reach and rendered views
+// still cross.
 func TestCompileRendersNoViews(t *testing.T) {
 	p, err := flow.New()
 	if err != nil {
@@ -85,8 +89,9 @@ func TestCompileRendersNoViews(t *testing.T) {
 	}
 	for _, family := range []string{"hamming", "fdct1"} {
 		src := suiteSource(t, family)
+		var c *flow.Compiled
 		compile := testing.AllocsPerRun(5, func() {
-			if _, err := p.Compile(src); err != nil {
+			if c, err = p.Compile(src); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -101,10 +106,18 @@ func TestCompileRendersNoViews(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: Compile %.0f allocations, lang.Parse + compiler.Compile %.0f", family, compile, frontEnd)
-		if compile > frontEnd+16 {
-			t.Errorf("%s: Compile allocated %.0f times, more than lang.Parse + compiler.Compile (%.0f) + 16",
-				family, compile, frontEnd)
+		slack := 16.0
+		if raceBuild {
+			slack = testing.AllocsPerRun(1, func() {
+				if _, err := c.LoC(); err != nil {
+					t.Fatal(err)
+				}
+			}) / 2
+		}
+		t.Logf("%s: Compile %.0f allocations, lang.Parse + compiler.Compile %.0f (slack %.0f)", family, compile, frontEnd, slack)
+		if compile > frontEnd+slack {
+			t.Errorf("%s: Compile allocated %.0f times, more than lang.Parse + compiler.Compile (%.0f) + %.0f",
+				family, compile, frontEnd, slack)
 		}
 	}
 }

@@ -15,17 +15,11 @@ type Cond interface {
 	String() string
 }
 
-// Env resolves a status name to its current truth value (non-zero word).
+// Env reports the current truth value (defined and non-zero) of the
+// status input at position i among the FSM's declared inputs.
 type Env interface {
-	Truth(name string) bool
+	Truth(i int) bool
 }
-
-// MapEnv is an Env over a plain map, used in tests and by the RTG
-// controller when evaluating edge guards outside a simulation.
-type MapEnv map[string]bool
-
-// Truth looks the name up; missing names read false.
-func (m MapEnv) Truth(name string) bool { return m[name] }
 
 type condTrue struct{}
 
@@ -37,9 +31,13 @@ type condFalse struct{}
 func (condFalse) Eval(Env) bool  { return false }
 func (condFalse) String() string { return "0" }
 
-type condVar struct{ name string }
+// condVar reads status input idx; name is kept for String.
+type condVar struct {
+	name string
+	idx  int
+}
 
-func (v condVar) Eval(env Env) bool { return env.Truth(v.name) }
+func (v condVar) Eval(env Env) bool { return env.Truth(v.idx) }
 func (v condVar) String() string    { return v.name }
 
 type condNot struct{ x Cond }
@@ -60,10 +58,11 @@ func (o condOr) String() string    { return "(" + o.l.String() + " | " + o.r.Str
 // ParseCond compiles a guard expression. The grammar, lowest precedence
 // first:  or := and ('|' and)* ; and := unary ('&' unary)* ;
 // unary := '!' unary | '(' or ')' | '0' | '1' | identifier.
-// An empty expression is the always-true default guard. known, when
-// non-nil, restricts identifiers to declared status inputs.
-func ParseCond(src string, known map[string]bool) (Cond, error) {
-	p := &condParser{src: src, known: known}
+// An empty expression is the always-true default guard. Identifiers
+// must name a declared status input; each resolves to its position in
+// inputs, so evaluation indexes rather than looks names up.
+func ParseCond(src string, inputs []string) (Cond, error) {
+	p := &condParser{src: src, inputs: inputs}
 	p.next()
 	if p.tok == tokEOF {
 		return condTrue{}, nil
@@ -94,11 +93,11 @@ const (
 )
 
 type condParser struct {
-	src   string
-	pos   int
-	tok   condToken
-	lit   string
-	known map[string]bool
+	src    string
+	pos    int
+	tok    condToken
+	lit    string
+	inputs []string
 }
 
 func (p *condParser) next() {
@@ -212,11 +211,13 @@ func (p *condParser) parseUnary() (Cond, error) {
 		return condTrue{}, nil
 	case tokIdent:
 		name := p.lit
-		if p.known != nil && !p.known[name] {
-			return nil, fmt.Errorf("fsmsim: cond %q: unknown status %q", p.src, name)
+		for i, in := range p.inputs {
+			if in == name {
+				p.next()
+				return condVar{name, i}, nil
+			}
 		}
-		p.next()
-		return condVar{name}, nil
+		return nil, fmt.Errorf("fsmsim: cond %q: unknown status %q", p.src, name)
 	default:
 		if strings.TrimSpace(p.lit) == "" {
 			return nil, fmt.Errorf("fsmsim: cond %q: unexpected end", p.src)

@@ -9,75 +9,100 @@ import (
 	"repro/internal/xmlspec"
 )
 
+// env evaluates guards parsed against inputs, reading each input's
+// truth from a map by name.
+type env struct {
+	inputs []string
+	truth  map[string]bool
+}
+
+func (e env) Truth(i int) bool { return e.truth[e.inputs[i]] }
+
 func TestParseCondBasics(t *testing.T) {
-	known := map[string]bool{"a": true, "b": true, "c_1": true}
+	inputs := []string{"a", "b", "c_1"}
 	cases := []struct {
-		src  string
-		env  MapEnv
-		want bool
+		src   string
+		truth map[string]bool
+		want  bool
 	}{
 		{"", nil, true},
 		{"1", nil, true},
 		{"0", nil, false},
-		{"a", MapEnv{"a": true}, true},
-		{"a", MapEnv{}, false},
-		{"!a", MapEnv{}, true},
-		{"a & b", MapEnv{"a": true, "b": true}, true},
-		{"a & b", MapEnv{"a": true}, false},
-		{"a | b", MapEnv{"b": true}, true},
-		{"a | b", MapEnv{}, false},
-		{"!(a | b)", MapEnv{}, true},
-		{"!a & !b", MapEnv{}, true},
-		{"a & b | c_1", MapEnv{"c_1": true}, true}, // & binds tighter
-		{"a & (b | c_1)", MapEnv{"a": true, "c_1": true}, true},
-		{"!!a", MapEnv{"a": true}, true},
+		{"a", map[string]bool{"a": true}, true},
+		{"a", map[string]bool{}, false},
+		{"!a", map[string]bool{}, true},
+		{"a & b", map[string]bool{"a": true, "b": true}, true},
+		{"a & b", map[string]bool{"a": true}, false},
+		{"a | b", map[string]bool{"b": true}, true},
+		{"a | b", map[string]bool{}, false},
+		{"!(a | b)", map[string]bool{}, true},
+		{"!a & !b", map[string]bool{}, true},
+		{"a & b | c_1", map[string]bool{"c_1": true}, true}, // & binds tighter
+		{"a & (b | c_1)", map[string]bool{"a": true, "c_1": true}, true},
+		{"!!a", map[string]bool{"a": true}, true},
 	}
 	for _, c := range cases {
-		cond, err := ParseCond(c.src, known)
+		cond, err := ParseCond(c.src, inputs)
 		if err != nil {
 			t.Fatalf("ParseCond(%q): %v", c.src, err)
 		}
-		if got := cond.Eval(c.env); got != c.want {
-			t.Errorf("%q with %v = %v, want %v", c.src, c.env, got, c.want)
+		if got := cond.Eval(env{inputs, c.truth}); got != c.want {
+			t.Errorf("%q with %v = %v, want %v", c.src, c.truth, got, c.want)
 		}
 	}
 }
 
 func TestParseCondErrors(t *testing.T) {
-	known := map[string]bool{"a": true}
+	inputs := []string{"a"}
 	for _, src := range []string{"ghost", "a &", "(a", "a )", "a b", "&", "a @ b"} {
-		if _, err := ParseCond(src, known); err == nil {
+		if _, err := ParseCond(src, inputs); err == nil {
 			t.Errorf("ParseCond(%q) must fail", src)
 		}
 	}
 }
 
-func TestParseCondNilKnownAllowsAnyIdent(t *testing.T) {
-	cond, err := ParseCond("whatever", nil)
+// TestParseCondResolvesInputPositions: a guard reads its identifiers by
+// their position among the declared inputs, and an identifier no input
+// declares is an error, with no inputs at all too.
+func TestParseCondResolvesInputPositions(t *testing.T) {
+	cond, err := ParseCond("b & !a", []string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cond.Eval(MapEnv{"whatever": true}) {
-		t.Fatal("eval failed")
+	for _, c := range []struct {
+		truth []bool
+		want  bool
+	}{{[]bool{false, true}, true}, {[]bool{true, true}, false}, {[]bool{false, false}, false}} {
+		if got := cond.Eval(boolEnv(c.truth)); got != c.want {
+			t.Errorf("inputs %v: %v, want %v", c.truth, got, c.want)
+		}
+	}
+	if _, err := ParseCond("whatever", nil); err == nil || !strings.Contains(err.Error(), "unknown status") {
+		t.Fatalf("an undeclared identifier must fail, got %v", err)
 	}
 }
+
+type boolEnv []bool
+
+func (e boolEnv) Truth(i int) bool { return e[i] }
 
 func TestCondStringRoundTripProperty(t *testing.T) {
 	// Property: rendering a parsed condition and re-parsing it preserves
 	// semantics on random environments.
+	inputs := []string{"a", "b", "c"}
 	srcs := []string{"a", "!a", "a & b", "a | b & !c", "!(a & b) | c", "a & !b & c"}
 	f := func(av, bv, cv bool, idx uint8) bool {
 		src := srcs[int(idx)%len(srcs)]
-		c1, err := ParseCond(src, nil)
+		c1, err := ParseCond(src, inputs)
 		if err != nil {
 			return false
 		}
-		c2, err := ParseCond(c1.String(), nil)
+		c2, err := ParseCond(c1.String(), inputs)
 		if err != nil {
 			return false
 		}
-		env := MapEnv{"a": av, "b": bv, "c": cv}
-		return c1.Eval(env) == c2.Eval(env)
+		e := boolEnv{av, bv, cv}
+		return c1.Eval(e) == c2.Eval(e)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -109,12 +134,12 @@ func counterFSM() *xmlspec.FSM {
 
 type machineFixture struct {
 	sim          *hades.Simulator
-	clk, rst     *hades.Signal
+	clk          *hades.Signal
 	lt, en, done *hades.Signal
 	m            *Machine
 }
 
-func newMachineFixture(t *testing.T, withRst bool) *machineFixture {
+func newMachineFixture(t *testing.T) *machineFixture {
 	t.Helper()
 	sim := hades.NewSimulator()
 	f := &machineFixture{
@@ -124,17 +149,21 @@ func newMachineFixture(t *testing.T, withRst bool) *machineFixture {
 		en:   sim.NewSignal("en", 1),
 		done: sim.NewSignal("done", 1),
 	}
-	if withRst {
-		f.rst = sim.NewSignal("rst", 1)
-	}
-	m, err := New(sim, counterFSM(), f.clk, f.rst,
-		map[string]*hades.Signal{"lt": f.lt},
-		map[string]*hades.Signal{"en": f.en, "done": f.done})
+	m, err := New(sim, counterTable(t), f.clk, []*hades.Signal{f.lt}, []*hades.Signal{f.en, f.done})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.m = m
 	return f
+}
+
+func counterTable(t *testing.T) *Table {
+	t.Helper()
+	tab, err := NewTable(counterFSM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }
 
 func (f *machineFixture) tick(t *testing.T) {
@@ -147,7 +176,7 @@ func (f *machineFixture) tick(t *testing.T) {
 }
 
 func TestMachineInitialOutputs(t *testing.T) {
-	f := newMachineFixture(t, false)
+	f := newMachineFixture(t)
 	if !f.en.Bool() || f.done.Bool() {
 		t.Fatalf("initial outputs en=%v done=%v", f.en.Bool(), f.done.Bool())
 	}
@@ -157,7 +186,7 @@ func TestMachineInitialOutputs(t *testing.T) {
 }
 
 func TestMachineLoopsWhileStatusTrue(t *testing.T) {
-	f := newMachineFixture(t, false)
+	f := newMachineFixture(t)
 	f.sim.Drive(f.lt, 1)
 	for i := 0; i < 5; i++ {
 		f.tick(t)
@@ -178,26 +207,8 @@ func TestMachineLoopsWhileStatusTrue(t *testing.T) {
 	}
 }
 
-func TestMachineResetReturnsToInitial(t *testing.T) {
-	f := newMachineFixture(t, true)
-	f.sim.Drive(f.rst, 0)
-	f.sim.Drive(f.lt, 0)
-	f.tick(t)
-	if f.m.CurrentState() != "END" {
-		t.Fatalf("state=%s", f.m.CurrentState())
-	}
-	f.sim.Drive(f.rst, 1)
-	f.tick(t)
-	if f.m.CurrentState() != "LOOP" {
-		t.Fatalf("after reset state=%s", f.m.CurrentState())
-	}
-	if !f.en.Bool() || f.done.Bool() {
-		t.Fatal("outputs must reflect initial state after reset")
-	}
-}
-
 func TestMachineTrace(t *testing.T) {
-	f := newMachineFixture(t, false)
+	f := newMachineFixture(t)
 	f.m.EnableTrace(3)
 	f.sim.Drive(f.lt, 1)
 	for i := 0; i < 5; i++ {
@@ -219,44 +230,32 @@ func TestMachineUnboundSignalsFail(t *testing.T) {
 	clk := sim.NewSignal("clk", 1)
 	en := sim.NewSignal("en", 1)
 	done := sim.NewSignal("done", 1)
-	_, err := New(sim, counterFSM(), clk, nil,
-		map[string]*hades.Signal{}, // lt missing
-		map[string]*hades.Signal{"en": en, "done": done})
+	tab := counterTable(t)
+	_, err := New(sim, tab, clk, nil, []*hades.Signal{en, done}) // lt missing
 	if err == nil || !strings.Contains(err.Error(), `input "lt" not bound`) {
 		t.Fatalf("err=%v", err)
 	}
 	lt := sim.NewSignal("lt", 1)
-	_, err = New(sim, counterFSM(), clk, nil,
-		map[string]*hades.Signal{"lt": lt},
-		map[string]*hades.Signal{"en": en}) // done missing
+	_, err = New(sim, tab, clk, []*hades.Signal{lt}, []*hades.Signal{en}) // done missing
 	if err == nil || !strings.Contains(err.Error(), `output "done" not bound`) {
 		t.Fatalf("err=%v", err)
 	}
 }
 
+// TestMachineRejectsInvalidFSM: a table needs the initial state it
+// starts every run from.
 func TestMachineRejectsInvalidFSM(t *testing.T) {
-	sim := hades.NewSimulator()
-	clk := sim.NewSignal("clk", 1)
 	bad := counterFSM()
 	bad.States[0].Initial = false
-	_, err := New(sim, bad, clk, nil, map[string]*hades.Signal{}, map[string]*hades.Signal{})
-	if err == nil {
-		t.Fatal("invalid FSM must be rejected")
+	if _, err := NewTable(bad); err == nil || !strings.Contains(err.Error(), "no initial state") {
+		t.Fatalf("an FSM without an initial state must be rejected, got %v", err)
 	}
 }
 
 func TestMachineRejectsBadGuard(t *testing.T) {
-	sim := hades.NewSimulator()
-	clk := sim.NewSignal("clk", 1)
-	lt := sim.NewSignal("lt", 1)
-	en := sim.NewSignal("en", 1)
-	done := sim.NewSignal("done", 1)
 	bad := counterFSM()
 	bad.States[0].Transitions[0].Cond = "ghost"
-	_, err := New(sim, bad, clk, nil,
-		map[string]*hades.Signal{"lt": lt},
-		map[string]*hades.Signal{"en": en, "done": done})
-	if err == nil || !strings.Contains(err.Error(), "unknown status") {
+	if _, err := NewTable(bad); err == nil || !strings.Contains(err.Error(), "unknown status") {
 		t.Fatalf("err=%v", err)
 	}
 }
@@ -265,7 +264,7 @@ func TestMooreSamplingUsesPreEdgeStatus(t *testing.T) {
 	// The status flips in the same instant as the edge via a zero-delay
 	// event scheduled after the edge; the machine must still see the old
 	// value at that edge.
-	f := newMachineFixture(t, false)
+	f := newMachineFixture(t)
 	f.sim.Drive(f.lt, 1)
 	f.tick(t) // stays LOOP
 	// Schedule lt:=0 exactly at the next rising edge time.

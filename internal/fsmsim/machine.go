@@ -7,135 +7,143 @@ import (
 	"repro/internal/xmlspec"
 )
 
+// Table is an fsm.xml control unit resolved for execution: states by
+// index, each with its Moore output vector and its guarded edges, the
+// guards parsed against the declared inputs. One table serves every
+// run of a configuration on both engines — the event kernel's Machine
+// and the cycle compiler read it, and neither reparses the document.
+// A Table is immutable once built.
+type Table struct {
+	Name    string
+	Inputs  []string // status inputs in declaration order; guards index them
+	Outputs []string // control outputs in declaration order; Moore vectors index them
+	States  []State
+	Initial int
+}
+
+// State is one resolved FSM state.
+type State struct {
+	Name  string
+	Final bool
+	Out   []int64      // Moore output vector over Outputs; unassigned outputs are 0
+	Next  []Transition // guarded edges in priority order
+}
+
+// Transition is a guarded edge to state To.
+type Transition struct {
+	Cond Cond
+	To   int
+}
+
+// NewTable resolves an FSM document. The document must have passed
+// the xmlspec FSM validator; NewTable reports what it cannot resolve (a guard
+// over an undeclared input, an unknown state, no initial state) instead
+// of checking the document again.
+func NewTable(spec *xmlspec.FSM) (*Table, error) {
+	t := &Table{Name: spec.Name, Initial: -1, States: make([]State, len(spec.States))}
+	for _, in := range spec.Inputs {
+		t.Inputs = append(t.Inputs, in.Name)
+	}
+	for _, out := range spec.Outputs {
+		t.Outputs = append(t.Outputs, out.Name)
+	}
+	byName := make(map[string]int, len(spec.States))
+	for i, st := range spec.States {
+		byName[st.Name] = i
+	}
+	// Each state's output vector holds the value of its first assign to
+	// each output; all states share one array.
+	vecs := make([]int64, len(spec.States)*len(spec.Outputs))
+	for i, st := range spec.States {
+		ts := &t.States[i]
+		ts.Name, ts.Final = st.Name, st.Final
+		ts.Out = vecs[i*len(spec.Outputs) : (i+1)*len(spec.Outputs)]
+		for k, out := range t.Outputs {
+			for _, a := range st.Assigns {
+				if a.Signal == out {
+					ts.Out[k] = a.Value
+					break
+				}
+			}
+		}
+		for _, tr := range st.Transitions {
+			c, err := ParseCond(tr.Cond, t.Inputs)
+			if err != nil {
+				return nil, fmt.Errorf("fsmsim: %s state %s: %w", spec.Name, st.Name, err)
+			}
+			to, ok := byName[tr.Next]
+			if !ok {
+				return nil, fmt.Errorf("fsmsim: %s state %s: unknown next state %q", spec.Name, st.Name, tr.Next)
+			}
+			ts.Next = append(ts.Next, Transition{Cond: c, To: to})
+		}
+		if st.Initial {
+			t.Initial = i
+		}
+	}
+	if t.Initial < 0 {
+		return nil, fmt.Errorf("fsmsim: %s: no initial state", spec.Name)
+	}
+	return t, nil
+}
+
 // Machine is the executable form of an fsm.xml control unit: a Moore
 // machine clocked by the global clock, reading status signals and driving
 // control signals. It is the direct counterpart of the fsm.java classes
 // the paper's XSLT generates for Hades.
 type Machine struct {
 	hades.IDBase
-	name string
-
+	tab *Table
 	clk *hades.Signal
-	rst *hades.Signal // optional
 
-	states  []compiledState
-	byName  map[string]int
+	inputs  []*hades.Signal // parallel to tab.Inputs
+	outputs []*hades.Signal // parallel to tab.Outputs
+
 	current int
-	initial int
-
-	inputs  map[string]*hades.Signal
-	outputs []*hades.Signal // bound outputs, in spec order
-
 	prevClk bool
 	cycles  uint64
 	trace   []string
 	keepLog int
 }
 
-type compiledState struct {
-	name        string
-	final       bool
-	outputs     []int64 // Moore output vector, parallel to Machine.outputs
-	transitions []compiledTransition
-}
-
-type compiledTransition struct {
-	cond Cond
-	next int
-}
-
-// signalEnv adapts live status signals to the Cond Env interface.
-type signalEnv map[string]*hades.Signal
-
-// Truth is true when the named status signal is defined and non-zero.
-func (e signalEnv) Truth(name string) bool {
-	s, ok := e[name]
-	return ok && s.Valid() && s.Uint() != 0
-}
-
-// New compiles an FSM description and binds it to live signals. inputs
-// must provide a signal per declared FSM input; outputs per declared
-// output. The machine starts in the initial state and drives that state's
+// New binds a resolved FSM to live signals: inputs holds one signal per
+// declared input, outputs one per declared output, both in declaration
+// order. The machine starts in the initial state and drives that state's
 // outputs at elaboration time.
-func New(sim *hades.Simulator, spec *xmlspec.FSM, clk, rst *hades.Signal,
-	inputs, outputs map[string]*hades.Signal) (*Machine, error) {
-
-	if err := xmlspec.ValidateFSM(spec); err != nil {
-		return nil, err
-	}
-	known := map[string]bool{}
-	for _, in := range spec.Inputs {
-		if inputs[in.Name] == nil {
-			return nil, fmt.Errorf("fsmsim: %s: input %q not bound", spec.Name, in.Name)
+func New(sim *hades.Simulator, tab *Table, clk *hades.Signal, inputs, outputs []*hades.Signal) (*Machine, error) {
+	for i, name := range tab.Inputs {
+		if i >= len(inputs) || inputs[i] == nil {
+			return nil, fmt.Errorf("fsmsim: %s: input %q not bound", tab.Name, name)
 		}
-		known[in.Name] = true
 	}
-	m := &Machine{
-		name:    spec.Name,
-		clk:     clk,
-		rst:     rst,
-		byName:  map[string]int{},
-		inputs:  map[string]*hades.Signal{},
-		keepLog: 0,
+	for i, name := range tab.Outputs {
+		if i >= len(outputs) || outputs[i] == nil {
+			return nil, fmt.Errorf("fsmsim: %s: output %q not bound", tab.Name, name)
+		}
 	}
+	m := &Machine{tab: tab, clk: clk, inputs: inputs, outputs: outputs, current: tab.Initial}
 	m.AssignID(hades.NextID())
-	for name, sig := range inputs {
-		m.inputs[name] = sig
-	}
-	for i, st := range spec.States {
-		m.byName[st.Name] = i
-	}
-	for _, st := range spec.States {
-		cs := compiledState{name: st.Name, final: st.Final}
-		for _, tr := range st.Transitions {
-			c, err := ParseCond(tr.Cond, known)
-			if err != nil {
-				return nil, fmt.Errorf("fsmsim: %s state %s: %w", spec.Name, st.Name, err)
-			}
-			cs.transitions = append(cs.transitions, compiledTransition{cond: c, next: m.byName[tr.Next]})
-		}
-		m.states = append(m.states, cs)
-		if st.Initial {
-			m.initial = len(m.states) - 1
-		}
-	}
-	for _, out := range spec.Outputs {
-		sig := outputs[out.Name]
-		if sig == nil {
-			return nil, fmt.Errorf("fsmsim: %s: output %q not bound", spec.Name, out.Name)
-		}
-		m.outputs = append(m.outputs, sig)
-	}
-	// Each state's output vector holds the value of its first assign to
-	// each output, 0 where it assigns none; all states share one array.
-	vecs := make([]int64, len(m.states)*len(m.outputs))
-	for i, st := range spec.States {
-		vec := vecs[i*len(m.outputs) : (i+1)*len(m.outputs)]
-		for k, out := range spec.Outputs {
-			for _, a := range st.Assigns {
-				if a.Signal == out.Name {
-					vec[k] = a.Value
-					break
-				}
-			}
-		}
-		m.states[i].outputs = vec
-	}
-	m.current = m.initial
 	clk.Listen(m)
 	m.driveOutputs(sim, true)
 	return m, nil
 }
 
 // Name returns the FSM name.
-func (m *Machine) Name() string { return m.name }
+func (m *Machine) Name() string { return m.tab.Name }
+
+// Truth is true when status input i is defined and non-zero: the
+// machine is the Env its guards read.
+func (m *Machine) Truth(i int) bool {
+	s := m.inputs[i]
+	return s.Valid() && s.Uint() != 0
+}
 
 // Reset rewinds the machine for replay after a simulator reset: back to
 // the initial state with the cycle counter, edge tracker and trace
 // cleared, immediately driving the initial state's outputs exactly as
 // New does at elaboration time.
 func (m *Machine) Reset(sim *hades.Simulator) {
-	m.current = m.initial
+	m.current = m.tab.Initial
 	m.cycles = 0
 	m.prevClk = false
 	m.trace = m.trace[:0]
@@ -143,10 +151,10 @@ func (m *Machine) Reset(sim *hades.Simulator) {
 }
 
 // CurrentState returns the name of the state the machine is in.
-func (m *Machine) CurrentState() string { return m.states[m.current].name }
+func (m *Machine) CurrentState() string { return m.tab.States[m.current].Name }
 
 // InFinal reports whether the machine reached a final state.
-func (m *Machine) InFinal() bool { return m.states[m.current].final }
+func (m *Machine) InFinal() bool { return m.tab.States[m.current].Final }
 
 // Cycles returns the number of rising edges consumed.
 func (m *Machine) Cycles() uint64 { return m.cycles }
@@ -165,21 +173,14 @@ func (m *Machine) React(sim *hades.Simulator) {
 		return
 	}
 	m.cycles++
-	if m.rst != nil && m.rst.Bool() {
-		m.current = m.initial
-		m.driveOutputs(sim, false)
-		return
-	}
-	st := &m.states[m.current]
-	env := signalEnv(m.inputs)
-	for _, tr := range st.transitions {
-		if tr.cond.Eval(env) {
-			m.current = tr.next
+	for _, tr := range m.tab.States[m.current].Next {
+		if tr.Cond.Eval(m) {
+			m.current = tr.To
 			break
 		}
 	}
 	if m.keepLog > 0 {
-		m.trace = append(m.trace, m.states[m.current].name)
+		m.trace = append(m.trace, m.tab.States[m.current].Name)
 		if len(m.trace) > m.keepLog {
 			m.trace = m.trace[1:]
 		}
@@ -190,7 +191,7 @@ func (m *Machine) React(sim *hades.Simulator) {
 // driveOutputs asserts the current state's Moore output vector; all
 // declared outputs not assigned in the state are driven to 0.
 func (m *Machine) driveOutputs(sim *hades.Simulator, immediate bool) {
-	for k, val := range m.states[m.current].outputs {
+	for k, val := range m.tab.States[m.current].Out {
 		if immediate {
 			sim.Drive(m.outputs[k], val)
 		} else {

@@ -1,12 +1,23 @@
 package netlist
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/hades"
+	"repro/internal/operators"
 	"repro/internal/xmlspec"
 )
+
+// build resolves a datapath/FSM pair and elaborates the plan on sim.
+func build(sim *hades.Simulator, clk *hades.Signal, dp *xmlspec.Datapath, fsm *xmlspec.FSM, init map[string][]int64) (*Elaboration, error) {
+	p, err := Resolve(dp, fsm)
+	if err != nil {
+		return nil, err
+	}
+	return Elaborate(sim, clk, p, init)
+}
 
 // counterDesign returns a datapath/FSM pair implementing
 //
@@ -61,7 +72,7 @@ func TestElaborateAndRunCounter(t *testing.T) {
 	sim := hades.NewSimulator()
 	clk := sim.NewSignal("clk", 1)
 	dp, fsm := counterDesign(10)
-	el, err := Elaborate(sim, clk, dp, fsm, Options{})
+	el, err := build(sim, clk, dp, fsm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +89,7 @@ func TestElaborateAndRunCounter(t *testing.T) {
 	// The loop register overshoots by one (the enable is still high on
 	// the edge where the FSM leaves the loop), standard for this control
 	// style: i counts 0..limit, then one extra increment lands.
-	q := el.Wires["r_i.q"]
+	q := el.Signal("r_i.q")
 	if q.Int() != 11 {
 		t.Fatalf("r_i.q=%d want 11", q.Int())
 	}
@@ -95,20 +106,20 @@ func TestElaborateExposesStructure(t *testing.T) {
 	sim := hades.NewSimulator()
 	clk := sim.NewSignal("clk", 1)
 	dp, fsm := counterDesign(3)
-	el, err := Elaborate(sim, clk, dp, fsm, Options{})
+	el, err := build(sim, clk, dp, fsm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(el.Components) != 5 {
-		t.Fatalf("components=%d", len(el.Components))
+	if len(el.Components()) != 5 || el.Component("r_i") == nil {
+		t.Fatalf("components=%d", len(el.Components()))
 	}
-	if el.Controls["en_i"] == nil || el.Controls["done"] == nil {
+	if el.Signal("ctl.en_i") == nil || el.Signal("ctl.done") == nil || el.Done != el.Signal("ctl.done") {
 		t.Fatal("control signals missing")
 	}
-	if el.Statuses["i_lt"] == nil {
-		t.Fatal("status signal missing")
+	if p := el.Plan(); p.Slots()[p.StatusSlot(0)].Name != "lt0.y" {
+		t.Fatal("status i_lt must alias lt0.y")
 	}
-	if el.Wires["add0.y"] == nil || el.Wires["r_i.q"] == nil {
+	if el.Signal("add0.y") == nil || el.Signal("r_i.q") == nil {
 		t.Fatal("wires missing")
 	}
 }
@@ -119,17 +130,17 @@ func TestTimeZeroSettling(t *testing.T) {
 	sim := hades.NewSimulator()
 	clk := sim.NewSignal("clk", 1)
 	dp, fsm := counterDesign(3)
-	el, err := Elaborate(sim, clk, dp, fsm, Options{})
+	el, err := build(sim, clk, dp, fsm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(0); err != nil { // process only time-zero deltas
 		t.Fatal(err)
 	}
-	if got := el.Wires["add0.y"].Int(); got != 1 {
+	if got := el.Signal("add0.y").Int(); got != 1 {
 		t.Fatalf("add0.y=%d want 1", got)
 	}
-	if got := el.Wires["lt0.y"].Uint(); got != 1 {
+	if got := el.Signal("lt0.y").Uint(); got != 1 {
 		t.Fatalf("lt0.y=%d want 1", got)
 	}
 }
@@ -138,7 +149,7 @@ func TestProbeAll(t *testing.T) {
 	sim := hades.NewSimulator()
 	clk := sim.NewSignal("clk", 1)
 	dp, fsm := counterDesign(3)
-	el, err := Elaborate(sim, clk, dp, fsm, Options{})
+	el, err := build(sim, clk, dp, fsm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +165,8 @@ func TestProbeAll(t *testing.T) {
 		t.Fatalf("transitions=%d", probes["r_i.q"].Transitions())
 	}
 	all := el.ProbeAll(0)
-	if len(all) != len(el.Wires) {
-		t.Fatalf("ProbeAll()=%d wires=%d", len(all), len(el.Wires))
+	if outputs := len(el.Plan().Slots()) - len(el.Plan().FSM().Outputs); len(all) != outputs {
+		t.Fatalf("ProbeAll()=%d operator outputs=%d", len(all), outputs)
 	}
 }
 
@@ -163,7 +174,7 @@ func TestRunToCompletionCycleCap(t *testing.T) {
 	sim := hades.NewSimulator()
 	clk := sim.NewSignal("clk", 1)
 	dp, fsm := counterDesign(1 << 30) // far beyond the cycle cap
-	el, err := Elaborate(sim, clk, dp, fsm, Options{})
+	el, err := build(sim, clk, dp, fsm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +195,7 @@ func TestFSMInputWithoutStatusFails(t *testing.T) {
 	clk := sim.NewSignal("clk", 1)
 	dp, fsm := counterDesign(3)
 	dp.Statuses = nil
-	_, err := Elaborate(sim, clk, dp, fsm, Options{})
+	_, err := build(sim, clk, dp, fsm, nil)
 	if err == nil || !strings.Contains(err.Error(), "no datapath status") {
 		t.Fatalf("err=%v", err)
 	}
@@ -196,7 +207,7 @@ func TestControlWithoutFSMOutputFails(t *testing.T) {
 	dp, fsm := counterDesign(3)
 	fsm.Outputs = []xmlspec.FSMSignal{{Name: "done"}}
 	fsm.States[0].Assigns = nil
-	_, err := Elaborate(sim, clk, dp, fsm, Options{})
+	_, err := build(sim, clk, dp, fsm, nil)
 	if err == nil || !strings.Contains(err.Error(), "no FSM output") {
 		t.Fatalf("err=%v", err)
 	}
@@ -227,17 +238,15 @@ func TestRAMTieDefaultsAllowReadOnly(t *testing.T) {
 			{Name: "E", Final: true, Assigns: []xmlspec.Assign{{Signal: "done", Value: 1}}},
 		},
 	}
-	el, err := Elaborate(sim, clk, dp, fsm, Options{
-		InitData: map[string][]int64{"m": {9, 8, 7, 6}},
-	})
+	el, err := build(sim, clk, dp, fsm, map[string][]int64{"m": {9, 8, 7, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := el.RunToCompletion(10, 10); err != nil {
 		t.Fatal(err)
 	}
-	if el.Wires["m.dout"].Int() != 7 {
-		t.Fatalf("dout=%d want 7", el.Wires["m.dout"].Int())
+	if el.Signal("m.dout").Int() != 7 {
+		t.Fatalf("dout=%d want 7", el.Signal("m.dout").Int())
 	}
 }
 
@@ -262,11 +271,45 @@ func TestSharedRAMRefExposure(t *testing.T) {
 			{Name: "E", Initial: true, Final: true, Assigns: []xmlspec.Assign{{Signal: "done", Value: 1}}},
 		},
 	}
-	el, err := Elaborate(sim, clk, dp, fsm, Options{})
+	el, err := build(sim, clk, dp, fsm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if el.Shared["img"] == nil || el.Shared["img"] != el.RAMs["m0"] {
+	if _, ok := el.Component("m0").(*operators.RAM); !ok || el.Plan().Ops()[0].Ref != "img" {
 		t.Fatal("shared memory binding missing")
+	}
+}
+
+// TestResolveBoundsMemoryDepth: a ram or rom resolves with a depth in
+// [1, operators.MaxDepth] and is rejected outside it, before anything
+// of that size is allocated.
+func TestResolveBoundsMemoryDepth(t *testing.T) {
+	fsm := &xmlspec.FSM{
+		Name:    "mem_ctl",
+		Outputs: []xmlspec.FSMSignal{{Name: "done"}},
+		States: []xmlspec.State{
+			{Name: "E", Initial: true, Final: true, Assigns: []xmlspec.Assign{{Signal: "done", Value: 1}}},
+		},
+	}
+	for _, typ := range []string{"ram", "rom"} {
+		for _, depth := range []int{0, 1, operators.MaxDepth, operators.MaxDepth + 1} {
+			dp := &xmlspec.Datapath{
+				Name:  "mem",
+				Width: 32,
+				Operators: []xmlspec.Operator{
+					{ID: "m", Type: typ, Depth: depth},
+					{ID: "a0", Type: "const", Value: 0, Width: operators.AddrWidth(depth)},
+				},
+				Connections: []xmlspec.Connection{{From: "a0.y", To: "m.addr"}},
+			}
+			_, err := Resolve(dp, fsm)
+			if ok := depth >= 1 && depth <= operators.MaxDepth; ok != (err == nil) {
+				t.Fatalf("%s depth %d: err=%v", typ, depth, err)
+			}
+			want := fmt.Sprintf("netlist: mem: %s \"m\" needs a depth in [1, 16777216], has %d", typ, depth)
+			if err != nil && err.Error() != want {
+				t.Fatalf("%s depth %d: err=%q, want %q", typ, depth, err, want)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/hades"
+	"repro/internal/operators"
 	"repro/internal/xmlspec"
 )
 
@@ -78,7 +79,7 @@ func runAccumulator(t *testing.T, el *Elaboration) accRun {
 	if !rr.Completed {
 		t.Fatalf("incomplete: %+v", rr)
 	}
-	rec := append([]int64(nil), el.Sinks["cap"].Recorded()...)
+	rec := append([]int64(nil), el.Component("cap").(*operators.Sink).Recorded()...)
 	return accRun{res: *rr, stats: el.Sim.Stats(), rec: rec}
 }
 
@@ -111,7 +112,7 @@ func TestElaborationResetReplaysFresh(t *testing.T) {
 		fresh := func(vec []int64) accRun {
 			sim := hades.NewSimulator()
 			clk := sim.NewSignal("clk", 1)
-			el, err := Elaborate(sim, clk, dp, fsm, Options{InitData: map[string][]int64{"src": vec}})
+			el, err := build(sim, clk, dp, fsm, map[string][]int64{"src": vec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +121,7 @@ func TestElaborationResetReplaysFresh(t *testing.T) {
 
 		sim := hades.NewSimulator()
 		clk := sim.NewSignal("clk", 1)
-		el, err := Elaborate(sim, clk, dp, fsm, Options{InitData: map[string][]int64{"src": stimVec(0, 64)}})
+		el, err := build(sim, clk, dp, fsm, map[string][]int64{"src": stimVec(0, 64)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestResetFallsBackToOriginalSeeds(t *testing.T) {
 	vec := stimVec(1, 16)
 	sim := hades.NewSimulator()
 	clk := sim.NewSignal("clk", 1)
-	el, err := Elaborate(sim, clk, dp, fsm, Options{InitData: map[string][]int64{"src": vec}})
+	el, err := build(sim, clk, dp, fsm, map[string][]int64{"src": vec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 		init := map[string][]int64{"src": vec}
 		sim := hades.NewSimulator()
 		clk := sim.NewSignal("clk", 1)
-		el, err := Elaborate(sim, clk, dp, fsm, Options{InitData: init})
+		el, err := build(sim, clk, dp, fsm, init)
 		if err != nil {
 			t.Fatal(err)
 		}

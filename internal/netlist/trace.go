@@ -1,10 +1,6 @@
 package netlist
 
-import (
-	"sort"
-
-	"repro/internal/hades"
-)
+import "repro/internal/hades"
 
 // EdgeSample is one signal's value at a clock edge: the raw (masked)
 // word plus whether the signal was defined.
@@ -13,10 +9,10 @@ type EdgeSample struct {
 	Valid bool
 }
 
-// EdgeTrace samples every wire and control line at each rising clock
-// edge — the event-kernel counterpart of the cycle engine's per-edge
-// trace, keyed identically ("op.port" for wires, "ctl.<name>" for FSM
-// outputs) so traces from both engines compare row by row.
+// EdgeTrace samples every slot of the plan — each operator output and
+// FSM output — at each rising clock edge: the event-kernel counterpart
+// of the cycle engine's per-edge trace, keyed identically and in the
+// same plan slot order, so traces from both engines compare row by row.
 //
 // The tap listens on the clock and samples in the edge's own delta:
 // clocked components publish their edge updates one delta later (Set
@@ -33,21 +29,9 @@ type EdgeTrace struct {
 // VCD taps, the listener is detached by the replay rewind). One row is
 // recorded per rising edge.
 func (el *Elaboration) AttachEdgeTrace() *EdgeTrace {
-	tr := &EdgeTrace{}
-	for ep := range el.Wires {
-		tr.keys = append(tr.keys, ep)
-	}
-	for name := range el.Controls {
-		tr.keys = append(tr.keys, "ctl."+name)
-	}
-	sort.Strings(tr.keys)
-	tr.sigs = make([]*hades.Signal, len(tr.keys))
-	for i, key := range tr.keys {
-		if sig, ok := el.Wires[key]; ok {
-			tr.sigs[i] = sig
-		} else {
-			tr.sigs[i] = el.Controls[key[len("ctl."):]]
-		}
+	tr := &EdgeTrace{sigs: el.sigs}
+	for _, s := range el.plan.slots {
+		tr.keys = append(tr.keys, s.Name)
 	}
 	clk := el.Clk
 	el.Clk.Listen(&hades.ReactorFunc{Label: "edge-trace", Fn: func(sim *hades.Simulator) {

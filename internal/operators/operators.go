@@ -31,7 +31,29 @@ type PortSpec struct {
 	Name  string
 	Dir   Dir
 	Width int
+	Bind  Bind // how elaboration feeds an input; outputs leave it Driven
 }
+
+// Bind says how elaboration feeds an input port: it is the one place
+// that declares which undriven inputs tie to ground and which stay
+// open, and both engines resolve ports through it.
+type Bind uint8
+
+// Input bindings.
+const (
+	// Driven inputs take a connection or a control; elaboration fails
+	// when neither drives one.
+	Driven Bind = iota
+	// Clock inputs are always wired to the configuration clock.
+	Clock
+	// Ground inputs take a connection or a control, else constant zero
+	// (a read-only RAM has no writer, a sink may have no enable).
+	Ground
+	// Open inputs take a connection or a control, else nothing: the
+	// model treats the port as absent (a register without enable or
+	// reset).
+	Open
+)
 
 // Params carries the elaboration-time parameters parsed from the operator
 // element's XML attributes.
@@ -43,12 +65,38 @@ type Params struct {
 	Init   []int64 // ram/rom: initial contents; stim: the stimulus vector
 }
 
-// Spec describes an operator type: how to compute its port list from
-// parameters and how to build the live component.
+// Kind is the model class of an operator type. The cycle compiler
+// lowers each kind to its levelized node; the event kernel needs only
+// Build.
+type Kind uint8
+
+// Operator kinds.
+const (
+	KindConst Kind = iota
+	KindUnary
+	KindBinary
+	KindMux
+	KindReg
+	KindRAM
+	KindROM
+	KindStim
+	KindSink
+)
+
+// Spec describes an operator type: its model class and word function,
+// how to compute its port list from parameters and how to build the
+// live component.
 type Spec struct {
-	Type  string
-	Ports func(p Params) []PortSpec
-	Build func(sim *hades.Simulator, name string, p Params, conn map[string]*hades.Signal) (hades.Reactor, error)
+	Type   string
+	Kind   Kind
+	Unary  UnaryFn  // KindUnary: the word function both engines apply
+	Binary BinaryFn // KindBinary: the word function both engines apply
+	Ports  func(p Params) []PortSpec
+	// Build instantiates the component on sim. sigs holds one signal
+	// per port in Ports(p) order; an Open input no one drives is nil.
+	// sigs is only valid during the call: a builder that keeps signals
+	// copies them.
+	Build func(sim *hades.Simulator, name string, p Params, sigs []*hades.Signal) (hades.Reactor, error)
 }
 
 // Registry maps operator type names to specs.
@@ -82,6 +130,10 @@ func (r *Registry) Types() []string {
 	return out
 }
 
+// MaxDepth is the deepest ram or rom a simulation allocates, 16x the
+// largest array any workload family builds.
+const MaxDepth = 1 << 24
+
 // AddrWidth returns the address width needed for depth words (minimum 1).
 // No int depth needs more than 63 bits; the bound also stops the loop
 // where 1<<w would overflow.
@@ -93,20 +145,19 @@ func AddrWidth(depth int) int {
 	return w
 }
 
-// need fetches a connected signal or errors; all operator Build funcs use
-// it so a malformed netlist fails elaboration, not simulation.
-func need(conn map[string]*hades.Signal, inst, port string) (*hades.Signal, error) {
-	s, ok := conn[port]
-	if !ok || s == nil {
-		return nil, fmt.Errorf("operators: instance %q: port %q not connected", inst, port)
+// pins checks a builder's signals: n of them, one per port, each
+// connected except the last optional ones (whose models accept an
+// absent port), so a miswired call fails elaboration, not simulation.
+func pins(inst string, sigs []*hades.Signal, n, optional int) error {
+	if len(sigs) != n {
+		return fmt.Errorf("operators: instance %q: %d signals for %d ports", inst, len(sigs), n)
 	}
-	return s, nil
-}
-
-// optional fetches a signal that may be absent (e.g. a register without
-// an enable).
-func optional(conn map[string]*hades.Signal, port string) *hades.Signal {
-	return conn[port]
+	for i, s := range sigs[:n-optional] {
+		if s == nil {
+			return fmt.Errorf("operators: instance %q: port %d not connected", inst, i)
+		}
+	}
+	return nil
 }
 
 func defWidth(p Params) int {

@@ -19,14 +19,14 @@ func buildBin(t *testing.T, typ string, width int) (*hades.Simulator, *hades.Sig
 	}
 	sim := hades.NewSimulator()
 	p := Params{Width: width}
-	conn := map[string]*hades.Signal{}
+	var sigs []*hades.Signal
 	for _, ps := range spec.Ports(p) {
-		conn[ps.Name] = sim.NewSignal(typ+"."+ps.Name, ps.Width)
+		sigs = append(sigs, sim.NewSignal(typ+"."+ps.Name, ps.Width))
 	}
-	if _, err := spec.Build(sim, typ+"0", p, conn); err != nil {
+	if _, err := spec.Build(sim, typ+"0", p, sigs); err != nil {
 		t.Fatal(err)
 	}
-	return sim, conn["a"], conn["b"], conn["y"]
+	return sim, sigs[0], sigs[1], sigs[2]
 }
 
 func evalBin(t *testing.T, typ string, width int, a, b int64) int64 {
@@ -139,18 +139,15 @@ func TestUnaryOperators(t *testing.T) {
 		spec, _ := reg.Lookup(c.typ)
 		sim := hades.NewSimulator()
 		p := Params{Width: 32}
-		conn := map[string]*hades.Signal{}
-		for _, ps := range spec.Ports(p) {
-			conn[ps.Name] = sim.NewSignal(ps.Name, ps.Width)
-		}
-		if _, err := spec.Build(sim, c.typ, p, conn); err != nil {
+		a, y := sim.NewSignal("a", 32), sim.NewSignal("y", spec.Ports(p)[1].Width)
+		if _, err := spec.Build(sim, c.typ, p, []*hades.Signal{a, y}); err != nil {
 			t.Fatal(err)
 		}
-		sim.Set(conn["a"], c.in, 1)
+		sim.Set(a, c.in, 1)
 		if _, err := sim.Run(hades.TimeMax); err != nil {
 			t.Fatal(err)
 		}
-		got := conn["y"].Int()
+		got := y.Int()
 		if c.typ == "lnot" {
 			got &= 1
 		}
@@ -165,7 +162,7 @@ func TestConstDrivesImmediately(t *testing.T) {
 	spec, _ := reg.Lookup("const")
 	sim := hades.NewSimulator()
 	y := sim.NewSignal("y", 16)
-	if _, err := spec.Build(sim, "c", Params{Width: 16, Value: -42}, map[string]*hades.Signal{"y": y}); err != nil {
+	if _, err := spec.Build(sim, "c", Params{Width: 16, Value: -42}, []*hades.Signal{y}); err != nil {
 		t.Fatal(err)
 	}
 	if !y.Valid() || y.Int() != -42 {
@@ -179,13 +176,15 @@ func TestMuxSelects(t *testing.T) {
 	sim := hades.NewSimulator()
 	p := Params{Width: 8, Inputs: 3}
 	conn := map[string]*hades.Signal{}
+	var sigs []*hades.Signal
 	for _, ps := range spec.Ports(p) {
 		conn[ps.Name] = sim.NewSignal(ps.Name, ps.Width)
+		sigs = append(sigs, conn[ps.Name])
 	}
 	if conn["sel"].Width() != 2 {
 		t.Fatalf("3-input mux needs 2-bit select, got %d", conn["sel"].Width())
 	}
-	if _, err := spec.Build(sim, "m", p, conn); err != nil {
+	if _, err := spec.Build(sim, "m", p, sigs); err != nil {
 		t.Fatal(err)
 	}
 	sim.Set(conn["in0"], 10, 1)
@@ -232,16 +231,14 @@ func newRegFixture(t *testing.T, withEn, withRst bool, initVal int64) *regFixtur
 		d:   sim.NewSignal("d", 32),
 		q:   sim.NewSignal("q", 32),
 	}
-	conn := map[string]*hades.Signal{"clk": f.clk, "d": f.d, "q": f.q}
 	if withEn {
 		f.en = sim.NewSignal("en", 1)
-		conn["en"] = f.en
 	}
 	if withRst {
 		f.rst = sim.NewSignal("rst", 1)
-		conn["rst"] = f.rst
 	}
-	if _, err := spec.Build(sim, "r", Params{Width: 32, Value: initVal}, conn); err != nil {
+	sigs := []*hades.Signal{f.clk, f.d, f.q, f.en, f.rst}
+	if _, err := spec.Build(sim, "r", Params{Width: 32, Value: initVal}, sigs); err != nil {
 		t.Fatal(err)
 	}
 	return f
@@ -335,7 +332,7 @@ func newRAMFixture(t *testing.T, depth int, init []int64) *ramFixture {
 		out:  sim.NewSignal("dout", 32),
 	}
 	c, err := spec.Build(sim, "m", Params{Width: 32, Depth: depth, Init: init},
-		map[string]*hades.Signal{"clk": f.clk, "addr": f.addr, "din": f.din, "we": f.we, "dout": f.out})
+		[]*hades.Signal{f.clk, f.addr, f.din, f.we, f.out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +409,7 @@ func TestROMRead(t *testing.T) {
 	addr := sim.NewSignal("addr", 3)
 	dout := sim.NewSignal("dout", 32)
 	if _, err := spec.Build(sim, "t", Params{Width: 32, Depth: 8, Init: []int64{5, 6, 7}},
-		map[string]*hades.Signal{"addr": addr, "dout": dout}); err != nil {
+		[]*hades.Signal{addr, dout}); err != nil {
 		t.Fatal(err)
 	}
 	sim.Set(addr, 2, 1)
@@ -438,14 +435,14 @@ func TestMemoryOutOfRangeAddressHolds(t *testing.T) {
 	romOut := sim.NewSignal("rom.dout", 32)
 	ramSpec, _ := reg.Lookup("ram")
 	c, err := ramSpec.Build(sim, "m", Params{Width: 32, Depth: 4, Init: []int64{10, 20, 30, 40}},
-		map[string]*hades.Signal{"clk": clk, "addr": addr, "din": din, "we": we, "dout": ramOut})
+		[]*hades.Signal{clk, addr, din, we, ramOut})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ram := c.(*RAM)
 	romSpec, _ := reg.Lookup("rom")
 	if _, err := romSpec.Build(sim, "r", Params{Width: 32, Depth: 4, Init: []int64{5, 6, 7, 8}},
-		map[string]*hades.Signal{"addr": addr, "dout": romOut}); err != nil {
+		[]*hades.Signal{addr, romOut}); err != nil {
 		t.Fatal(err)
 	}
 	sim.Drive(we, 1)
@@ -473,12 +470,12 @@ func TestStimulusAndSinkRoundTrip(t *testing.T) {
 	stSpec, _ := reg.Lookup("stim")
 	vec := []int64{4, 5, 6}
 	if _, err := stSpec.Build(sim, "s", Params{Width: 32, Init: vec},
-		map[string]*hades.Signal{"clk": clk, "out": out, "last": last}); err != nil {
+		[]*hades.Signal{clk, out, last}); err != nil {
 		t.Fatal(err)
 	}
 	skSpec, _ := reg.Lookup("sink")
 	sk, err := skSpec.Build(sim, "k", Params{Width: 32},
-		map[string]*hades.Signal{"clk": clk, "in": out})
+		[]*hades.Signal{clk, out, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +549,7 @@ func TestUnconnectedPortFailsElaboration(t *testing.T) {
 	spec, _ := reg.Lookup("add")
 	sim := hades.NewSimulator()
 	a := sim.NewSignal("a", 32)
-	_, err := spec.Build(sim, "a0", Params{Width: 32}, map[string]*hades.Signal{"a": a})
+	_, err := spec.Build(sim, "a0", Params{Width: 32}, []*hades.Signal{a, nil, sim.NewSignal("y", 32)})
 	if err == nil {
 		t.Fatal("expected connection error")
 	}
@@ -562,7 +559,7 @@ func TestRAMRequiresDepth(t *testing.T) {
 	reg := DefaultRegistry()
 	spec, _ := reg.Lookup("ram")
 	sim := hades.NewSimulator()
-	_, err := spec.Build(sim, "m", Params{Width: 32}, map[string]*hades.Signal{})
+	_, err := spec.Build(sim, "m", Params{Width: 32}, make([]*hades.Signal, 5))
 	if err == nil {
 		t.Fatal("expected depth error")
 	}

@@ -7,8 +7,10 @@ import (
 )
 
 // DefaultRegistry builds the full operator library used by the
-// infrastructure; netlist elaboration resolves datapath XML operator types
-// against it.
+// infrastructure. It is the one table both engines read: netlist
+// resolves datapath operator types against it and builds each reactor,
+// and the cycle compiler lowers each spec's Kind with the word function
+// the spec carries.
 func DefaultRegistry() *Registry {
 	r := NewRegistry()
 	r.Register(constSpec())
@@ -16,7 +18,7 @@ func DefaultRegistry() *Registry {
 		typ string
 		fn  UnaryFn
 	}{
-		{"neg", WordNeg}, {"not", WordNot}, {"lnot", WordLNot},
+		{"neg", WordNeg}, {"not", WordNot}, {"lnot", WordLNot}, {"b2i", WordB2I},
 	} {
 		r.Register(unarySpec(u.typ, u.fn))
 	}
@@ -28,19 +30,11 @@ func DefaultRegistry() *Registry {
 		{"div", WordDiv}, {"mod", WordMod},
 		{"and", WordAnd}, {"or", WordOr}, {"xor", WordXor},
 		{"shl", WordShl}, {"shr", WordShr}, {"sra", WordSra},
-	} {
-		r.Register(binarySpec(b.typ, b.fn))
-	}
-	for _, c := range []struct {
-		typ string
-		fn  BinaryFn
-	}{
 		{"eq", WordEq}, {"ne", WordNe}, {"lt", WordLt},
 		{"le", WordLe}, {"gt", WordGt}, {"ge", WordGe},
 	} {
-		r.Register(cmpSpec(c.typ, c.fn))
+		r.Register(binarySpec(b.typ, b.fn))
 	}
-	r.Register(b2iSpec())
 	r.Register(muxSpec())
 	r.Register(regSpec())
 	r.Register(ramSpec())
@@ -50,161 +44,125 @@ func DefaultRegistry() *Registry {
 	return r
 }
 
+// in and out declare a driven input and an output; clkPort is the
+// clock input every clocked operator lists.
+func in(name string, w int) PortSpec  { return PortSpec{name, In, w, Driven} }
+func out(name string, w int) PortSpec { return PortSpec{name, Out, w, Driven} }
+
+var clkPort = PortSpec{"clk", In, 1, Clock}
+
 func constSpec() *Spec {
 	return &Spec{
 		Type: "const",
+		Kind: KindConst,
 		Ports: func(p Params) []PortSpec {
-			return []PortSpec{{"y", Out, defWidth(p)}}
+			return []PortSpec{out("y", defWidth(p))}
 		},
-		Build: func(sim *hades.Simulator, name string, p Params, conn map[string]*hades.Signal) (hades.Reactor, error) {
-			y, err := need(conn, name, "y")
-			if err != nil {
+		Build: func(sim *hades.Simulator, name string, p Params, s []*hades.Signal) (hades.Reactor, error) {
+			if err := pins(name, s, 1, 0); err != nil {
 				return nil, err
 			}
-			c := &Const{name: name, y: y, val: p.Value}
+			c := &Const{name: name, y: s[0], val: p.Value}
 			c.AssignID(hades.NextID())
-			sim.Drive(y, p.Value)
+			sim.Drive(s[0], p.Value)
 			return c, nil
 		},
 	}
 }
 
+// unarySpec covers the one-input operators: lnot yields one bit, b2i
+// reads one.
 func unarySpec(typ string, fn UnaryFn) *Spec {
 	return &Spec{
-		Type: typ,
+		Type:  typ,
+		Kind:  KindUnary,
+		Unary: fn,
 		Ports: func(p Params) []PortSpec {
-			w := defWidth(p)
-			ow := w
-			if typ == "lnot" {
-				ow = 1
+			a, y := defWidth(p), defWidth(p)
+			switch typ {
+			case "lnot":
+				y = 1
+			case "b2i":
+				a = 1
 			}
-			return []PortSpec{{"a", In, w}, {"y", Out, ow}}
+			return []PortSpec{in("a", a), out("y", y)}
 		},
-		Build: func(sim *hades.Simulator, name string, p Params, conn map[string]*hades.Signal) (hades.Reactor, error) {
-			a, err := need(conn, name, "a")
-			if err != nil {
+		Build: func(sim *hades.Simulator, name string, p Params, s []*hades.Signal) (hades.Reactor, error) {
+			if err := pins(name, s, 2, 0); err != nil {
 				return nil, err
 			}
-			y, err := need(conn, name, "y")
-			if err != nil {
-				return nil, err
-			}
-			u := &Unary{name: name, a: a, y: y, width: defWidth(p), fn: fn}
+			u := &Unary{name: name, a: s[0], y: s[1], width: defWidth(p), fn: fn}
 			u.AssignID(hades.NextID())
-			a.Listen(u)
+			s[0].Listen(u)
 			return u, nil
 		},
 	}
 }
 
-func buildBinary(fn BinaryFn) func(*hades.Simulator, string, Params, map[string]*hades.Signal) (hades.Reactor, error) {
-	return func(sim *hades.Simulator, name string, p Params, conn map[string]*hades.Signal) (hades.Reactor, error) {
-		a, err := need(conn, name, "a")
-		if err != nil {
-			return nil, err
-		}
-		b, err := need(conn, name, "b")
-		if err != nil {
-			return nil, err
-		}
-		y, err := need(conn, name, "y")
-		if err != nil {
-			return nil, err
-		}
-		o := &Binary{name: name, a: a, b: b, y: y, width: defWidth(p), fn: fn}
-		o.AssignID(hades.NextID())
-		a.Listen(o)
-		b.Listen(o)
-		return o, nil
-	}
-}
-
+// binarySpec covers arithmetic, logic and shifts; comparisons yield one
+// bit.
 func binarySpec(typ string, fn BinaryFn) *Spec {
+	cmp := false
+	switch typ {
+	case "eq", "ne", "lt", "le", "gt", "ge":
+		cmp = true
+	}
 	return &Spec{
-		Type: typ,
+		Type:   typ,
+		Kind:   KindBinary,
+		Binary: fn,
 		Ports: func(p Params) []PortSpec {
-			w := defWidth(p)
-			return []PortSpec{{"a", In, w}, {"b", In, w}, {"y", Out, w}}
+			w, y := defWidth(p), defWidth(p)
+			if cmp {
+				y = 1
+			}
+			return []PortSpec{in("a", w), in("b", w), out("y", y)}
 		},
-		Build: buildBinary(fn),
+		Build: func(sim *hades.Simulator, name string, p Params, s []*hades.Signal) (hades.Reactor, error) {
+			if err := pins(name, s, 3, 0); err != nil {
+				return nil, err
+			}
+			o := &Binary{name: name, a: s[0], b: s[1], y: s[2], width: defWidth(p), fn: fn}
+			o.AssignID(hades.NextID())
+			s[0].Listen(o)
+			s[1].Listen(o)
+			return o, nil
+		},
 	}
 }
 
-func cmpSpec(typ string, fn BinaryFn) *Spec {
-	return &Spec{
-		Type: typ,
-		Ports: func(p Params) []PortSpec {
-			w := defWidth(p)
-			return []PortSpec{{"a", In, w}, {"b", In, w}, {"y", Out, 1}}
-		},
-		Build: buildBinary(fn),
+// MuxInputs is a mux's data input count: its inputs parameter, at
+// least 2. Ports lists in0..in<n-1>, then sel and y.
+func MuxInputs(p Params) int {
+	if p.Inputs < 2 {
+		return 2
 	}
-}
-
-func b2iSpec() *Spec {
-	return &Spec{
-		Type: "b2i",
-		Ports: func(p Params) []PortSpec {
-			return []PortSpec{{"a", In, 1}, {"y", Out, defWidth(p)}}
-		},
-		Build: func(sim *hades.Simulator, name string, p Params, conn map[string]*hades.Signal) (hades.Reactor, error) {
-			a, err := need(conn, name, "a")
-			if err != nil {
-				return nil, err
-			}
-			y, err := need(conn, name, "y")
-			if err != nil {
-				return nil, err
-			}
-			u := &Unary{name: name, a: a, y: y, width: defWidth(p), fn: WordB2I}
-			u.AssignID(hades.NextID())
-			a.Listen(u)
-			return u, nil
-		},
-	}
+	return p.Inputs
 }
 
 func muxSpec() *Spec {
 	return &Spec{
 		Type: "mux",
+		Kind: KindMux,
 		Ports: func(p Params) []PortSpec {
-			w := defWidth(p)
-			n := p.Inputs
-			if n < 2 {
-				n = 2
-			}
+			w, n := defWidth(p), MuxInputs(p)
 			ports := make([]PortSpec, 0, n+2)
 			for i := 0; i < n; i++ {
-				ports = append(ports, PortSpec{fmt.Sprintf("in%d", i), In, w})
+				ports = append(ports, in(fmt.Sprintf("in%d", i), w))
 			}
-			ports = append(ports, PortSpec{"sel", In, AddrWidth(n)}, PortSpec{"y", Out, w})
-			return ports
+			return append(ports, in("sel", AddrWidth(n)), out("y", w))
 		},
-		Build: func(sim *hades.Simulator, name string, p Params, conn map[string]*hades.Signal) (hades.Reactor, error) {
-			n := p.Inputs
-			if n < 2 {
-				n = 2
+		Build: func(sim *hades.Simulator, name string, p Params, s []*hades.Signal) (hades.Reactor, error) {
+			n := MuxInputs(p)
+			if err := pins(name, s, n+2, 0); err != nil {
+				return nil, err
 			}
-			m := &Mux{name: name}
+			m := &Mux{name: name, ins: append([]*hades.Signal(nil), s[:n]...), sel: s[n], y: s[n+1]}
 			m.AssignID(hades.NextID())
-			for i := 0; i < n; i++ {
-				in, err := need(conn, name, fmt.Sprintf("in%d", i))
-				if err != nil {
-					return nil, err
-				}
-				m.ins = append(m.ins, in)
-				in.Listen(m)
+			for _, x := range m.ins {
+				x.Listen(m)
 			}
-			sel, err := need(conn, name, "sel")
-			if err != nil {
-				return nil, err
-			}
-			y, err := need(conn, name, "y")
-			if err != nil {
-				return nil, err
-			}
-			m.sel, m.y = sel, y
-			sel.Listen(m)
+			m.sel.Listen(m)
 			return m, nil
 		},
 	}
@@ -213,37 +171,22 @@ func muxSpec() *Spec {
 func regSpec() *Spec {
 	return &Spec{
 		Type: "reg",
+		Kind: KindReg,
 		Ports: func(p Params) []PortSpec {
 			w := defWidth(p)
-			return []PortSpec{
-				{"clk", In, 1}, {"d", In, w}, {"q", Out, w},
-				{"en", In, 1}, {"rst", In, 1},
-			}
+			return []PortSpec{clkPort, in("d", w), out("q", w), {"en", In, 1, Open}, {"rst", In, 1, Open}}
 		},
-		Build: func(sim *hades.Simulator, name string, p Params, conn map[string]*hades.Signal) (hades.Reactor, error) {
-			clk, err := need(conn, name, "clk")
-			if err != nil {
+		Build: func(sim *hades.Simulator, name string, p Params, s []*hades.Signal) (hades.Reactor, error) {
+			if err := pins(name, s, 5, 2); err != nil {
 				return nil, err
 			}
-			d, err := need(conn, name, "d")
-			if err != nil {
-				return nil, err
-			}
-			q, err := need(conn, name, "q")
-			if err != nil {
-				return nil, err
-			}
-			r := &Register{
-				name: name, clk: clk, d: d, q: q,
-				en: optional(conn, "en"), rst: optional(conn, "rst"),
-				initVal: p.Value,
-			}
+			r := &Register{name: name, clk: s[0], d: s[1], q: s[2], en: s[3], rst: s[4], initVal: p.Value}
 			r.AssignID(hades.NextID())
-			clk.Listen(r)
+			s[0].Listen(r)
 			// Power-on value: registers come up holding their reset value,
 			// which breaks X-propagation cycles through register feedback
 			// loops (i = i + 1 would otherwise never become defined).
-			sim.Drive(q, p.Value)
+			sim.Drive(s[2], p.Value)
 			return r, nil
 		},
 	}
@@ -252,45 +195,27 @@ func regSpec() *Spec {
 func ramSpec() *Spec {
 	return &Spec{
 		Type: "ram",
+		Kind: KindRAM,
 		Ports: func(p Params) []PortSpec {
 			w := defWidth(p)
-			return []PortSpec{
-				{"clk", In, 1}, {"addr", In, AddrWidth(p.Depth)},
-				{"din", In, w}, {"we", In, 1}, {"dout", Out, w},
-			}
+			return []PortSpec{clkPort, in("addr", AddrWidth(p.Depth)),
+				{"din", In, w, Ground}, {"we", In, 1, Ground}, out("dout", w)}
 		},
-		Build: func(sim *hades.Simulator, name string, p Params, conn map[string]*hades.Signal) (hades.Reactor, error) {
+		Build: func(sim *hades.Simulator, name string, p Params, s []*hades.Signal) (hades.Reactor, error) {
 			if p.Depth <= 0 {
 				return nil, fmt.Errorf("operators: ram %q needs a positive depth", name)
 			}
-			clk, err := need(conn, name, "clk")
-			if err != nil {
-				return nil, err
-			}
-			addr, err := need(conn, name, "addr")
-			if err != nil {
-				return nil, err
-			}
-			din, err := need(conn, name, "din")
-			if err != nil {
-				return nil, err
-			}
-			we, err := need(conn, name, "we")
-			if err != nil {
-				return nil, err
-			}
-			dout, err := need(conn, name, "dout")
-			if err != nil {
+			if err := pins(name, s, 5, 0); err != nil {
 				return nil, err
 			}
 			m := &RAM{
 				name: name, mem: make([]uint64, p.Depth), width: defWidth(p),
-				clk: clk, addr: addr, din: din, we: we, dout: dout,
+				clk: s[0], addr: s[1], din: s[2], we: s[3], dout: s[4],
 			}
 			m.AssignID(hades.NextID())
 			m.LoadContents(p.Init)
-			clk.Listen(m)
-			addr.Listen(m)
+			m.clk.Listen(m)
+			m.addr.Listen(m)
 			return m, nil
 		},
 	}
@@ -299,30 +224,25 @@ func ramSpec() *Spec {
 func romSpec() *Spec {
 	return &Spec{
 		Type: "rom",
+		Kind: KindROM,
 		Ports: func(p Params) []PortSpec {
-			w := defWidth(p)
-			return []PortSpec{{"addr", In, AddrWidth(p.Depth)}, {"dout", Out, w}}
+			return []PortSpec{in("addr", AddrWidth(p.Depth)), out("dout", defWidth(p))}
 		},
-		Build: func(sim *hades.Simulator, name string, p Params, conn map[string]*hades.Signal) (hades.Reactor, error) {
+		Build: func(sim *hades.Simulator, name string, p Params, s []*hades.Signal) (hades.Reactor, error) {
 			if p.Depth <= 0 {
 				return nil, fmt.Errorf("operators: rom %q needs a positive depth", name)
 			}
-			addr, err := need(conn, name, "addr")
-			if err != nil {
+			if err := pins(name, s, 2, 0); err != nil {
 				return nil, err
 			}
-			dout, err := need(conn, name, "dout")
-			if err != nil {
-				return nil, err
-			}
-			m := &ROM{name: name, mem: make([]uint64, p.Depth), width: defWidth(p), addr: addr, dout: dout}
+			m := &ROM{name: name, mem: make([]uint64, p.Depth), width: defWidth(p), addr: s[0], dout: s[1]}
 			m.AssignID(hades.NextID())
 			for i, v := range p.Init {
 				if i < len(m.mem) {
 					m.mem[i] = hades.Mask(uint64(v), m.width)
 				}
 			}
-			addr.Listen(m)
+			m.addr.Listen(m)
 			return m, nil
 		},
 	}
@@ -331,49 +251,39 @@ func romSpec() *Spec {
 func stimSpec() *Spec {
 	return &Spec{
 		Type: "stim",
+		Kind: KindStim,
 		Ports: func(p Params) []PortSpec {
-			return []PortSpec{{"clk", In, 1}, {"out", Out, defWidth(p)}, {"last", Out, 1}}
+			return []PortSpec{clkPort, out("out", defWidth(p)), out("last", 1)}
 		},
-		Build: func(sim *hades.Simulator, name string, p Params, conn map[string]*hades.Signal) (hades.Reactor, error) {
-			clk, err := need(conn, name, "clk")
-			if err != nil {
+		Build: func(sim *hades.Simulator, name string, p Params, s []*hades.Signal) (hades.Reactor, error) {
+			if err := pins(name, s, 3, 0); err != nil {
 				return nil, err
 			}
-			out, err := need(conn, name, "out")
-			if err != nil {
-				return nil, err
-			}
-			last, err := need(conn, name, "last")
-			if err != nil {
-				return nil, err
-			}
-			s := &Stimulus{name: name, clk: clk, out: out, last: last, vec: p.Init}
-			s.AssignID(hades.NextID())
-			clk.Listen(s)
-			return s, nil
+			st := &Stimulus{name: name, clk: s[0], out: s[1], last: s[2], vec: p.Init}
+			st.AssignID(hades.NextID())
+			s[0].Listen(st)
+			return st, nil
 		},
 	}
 }
 
+// sinkSpec: an undriven enable ties to ground in a netlist; a nil one
+// (a direct Build) samples every edge.
 func sinkSpec() *Spec {
 	return &Spec{
 		Type: "sink",
+		Kind: KindSink,
 		Ports: func(p Params) []PortSpec {
-			return []PortSpec{{"clk", In, 1}, {"in", In, defWidth(p)}, {"en", In, 1}}
+			return []PortSpec{clkPort, in("in", defWidth(p)), {"en", In, 1, Ground}}
 		},
-		Build: func(sim *hades.Simulator, name string, p Params, conn map[string]*hades.Signal) (hades.Reactor, error) {
-			clk, err := need(conn, name, "clk")
-			if err != nil {
+		Build: func(sim *hades.Simulator, name string, p Params, s []*hades.Signal) (hades.Reactor, error) {
+			if err := pins(name, s, 3, 1); err != nil {
 				return nil, err
 			}
-			in, err := need(conn, name, "in")
-			if err != nil {
-				return nil, err
-			}
-			s := &Sink{name: name, clk: clk, in: in, en: optional(conn, "en")}
-			s.AssignID(hades.NextID())
-			clk.Listen(s)
-			return s, nil
+			k := &Sink{name: name, clk: s[0], in: s[1], en: s[2]}
+			k.AssignID(hades.NextID())
+			s[0].Listen(k)
+			return k, nil
 		},
 	}
 }

@@ -2,8 +2,7 @@ package rtg
 
 import (
 	"repro/internal/hades"
-	"repro/internal/operators"
-	"repro/internal/xmlspec"
+	"repro/internal/netlist"
 )
 
 // Engine is the execution strategy a controller runs configurations on.
@@ -44,10 +43,9 @@ func (e *SimulatorEngine) NewSimulator() *hades.Simulator { return e.New() }
 // same program in lockstep, struct-of-arrays).
 type CycleEngine interface {
 	Engine
-	// CompileConfiguration levelizes one datapath/FSM pair. The registry
-	// resolves operator port shapes; engines reject operator types they
-	// have no compiled model for.
-	CompileConfiguration(dp *xmlspec.Datapath, fsm *xmlspec.FSM, reg *operators.Registry) (ConfigProgram, error)
+	// CompileConfiguration levelizes one resolved configuration;
+	// engines reject operator kinds they have no compiled model for.
+	CompileConfiguration(plan *netlist.Plan) (ConfigProgram, error)
 }
 
 // ConfigProgram is a compiled configuration, instantiable for any lane

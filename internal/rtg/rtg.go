@@ -14,6 +14,11 @@
 // (TestReplayMatchesFreshElaboration) at a fraction of the cost.
 // Options.DisableReplay restores the elaborate-every-visit behavior.
 //
+// Either way each configuration is resolved once: its first visit
+// binds the datapath to its FSM into a netlist.Plan, which the
+// controller keeps for its lifetime, and every build — elaboration,
+// compilation, fresh or cached — starts from that plan.
+//
 // # Concurrency
 //
 // A Controller owns live simulators (the replay cache) and a mutable
@@ -49,10 +54,9 @@ import (
 // friends); every production caller reaches the controller through a
 // flow.Pipeline, which always fills these in.
 type Options struct {
-	Registry    *operators.Registry // nil: operators.DefaultRegistry()
-	ClockPeriod hades.Time          // required; > 0
-	MaxCycles   uint64              // per configuration; required
-	MaxConfigs  int                 // reconfiguration bound; required
+	ClockPeriod hades.Time // required; > 0
+	MaxCycles   uint64     // per configuration; required
+	MaxConfigs  int        // reconfiguration bound; required
 	// Engine selects the execution engine. nil runs the event path on
 	// hades.NewSimulator, reported as the twolevel kernel. A
 	// CycleEngine switches the controller to compiled clock-by-clock
@@ -76,8 +80,9 @@ type Options struct {
 	// instant, so per-case timeouts stop a running simulation promptly.
 	Context context.Context
 	// DisableReplay forces every configuration visit onto a fresh
-	// simulator with a full netlist elaboration — the paper's original
-	// reconfiguration cost, and the seed behavior. By default the
+	// simulator with a full netlist elaboration from the configuration's
+	// plan — the paper's original reconfiguration cost, less the
+	// resolution the plan keeps. By default the
 	// controller keeps a per-configuration elaboration cache: a
 	// revisited configuration (RTG revisit, repeated Execute) is reset
 	// and replayed on its cached simulator instead of rebuilt, which is
@@ -88,9 +93,6 @@ type Options struct {
 
 func (o *Options) withDefaults() (Options, error) {
 	out := *o
-	if out.Registry == nil {
-		out.Registry = operators.DefaultRegistry()
-	}
 	switch e := out.Engine.(type) {
 	case nil:
 		out.Engine = &SimulatorEngine{Kernel: hades.KernelTwoLevel, New: hades.NewSimulator}
@@ -143,10 +145,13 @@ type Controller struct {
 	// back into the controller.
 	mu    sync.Mutex
 	store map[string][]int64
+	// plans holds each configuration's resolved plan from its first
+	// visit on, replay cache or not.
+	plans map[string]*netlist.Plan
 	// cache holds one live elaboration per configuration id — the
-	// controller's kernel factory and registry are fixed, so within a
-	// controller the configuration id alone keys (configuration,
-	// kernel, registry). nil when Options.DisableReplay is set.
+	// controller's kernel factory is fixed, so within a controller the
+	// configuration id alone keys (configuration, kernel). nil when
+	// Options.DisableReplay is set.
 	cache map[string]*netlist.Elaboration
 	// progs and insts are the cycle-engine replay caches: one compiled
 	// program per configuration id and one instance per (configuration,
@@ -173,16 +178,18 @@ type instKey struct {
 type seedKey struct{ cfg, op string }
 
 // NewController validates the design and prepares the shared store
-// (zero-filled; use LoadMemory to seed contents from files).
+// (zero-filled; use LoadMemory to seed contents from files). A shared
+// memory deeper than operators.MaxDepth is rejected before anything is
+// allocated, as a datapath ram or rom is.
 func NewController(design *xmlspec.Design, opts Options) (*Controller, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if err := xmlspec.ValidateDesign(design, o.Registry); err != nil {
+	if err := xmlspec.ValidateDesign(design, operators.DefaultRegistry()); err != nil {
 		return nil, err
 	}
-	c := &Controller{design: design, opts: o, store: map[string][]int64{},
+	c := &Controller{design: design, opts: o, store: map[string][]int64{}, plans: map[string]*netlist.Plan{},
 		seedBuf: map[seedKey][]int64{}, laneInit: map[string][]int64{}}
 	if !o.DisableReplay {
 		c.cache = map[string]*netlist.Elaboration{}
@@ -190,6 +197,10 @@ func NewController(design *xmlspec.Design, opts Options) (*Controller, error) {
 		c.insts = map[instKey]ConfigInstance{}
 	}
 	for _, m := range design.RTG.Memories {
+		if m.Depth > operators.MaxDepth {
+			return nil, fmt.Errorf("rtg %s: memory %q needs a depth in [1, %d], has %d",
+				design.RTG.Name, m.ID, operators.MaxDepth, m.Depth)
+		}
 		c.store[m.ID] = make([]int64, m.Depth)
 	}
 	return c, nil
@@ -354,13 +365,23 @@ func (c *Controller) configInit(cfg *xmlspec.Configuration, store, init map[stri
 	return nil
 }
 
+// plan returns a configuration's plan, resolving it at the first visit.
+func (c *Controller) plan(cfg *xmlspec.Configuration) (*netlist.Plan, error) {
+	if p, ok := c.plans[cfg.ID]; ok {
+		return p, nil
+	}
+	p, err := netlist.Resolve(c.design.Datapaths[cfg.Datapath], c.design.FSMs[cfg.FSM])
+	if err != nil {
+		return nil, err
+	}
+	c.plans[cfg.ID] = p
+	return p, nil
+}
+
 func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Context) (*ConfigRun, error) {
 	if ce, ok := c.opts.Engine.(CycleEngine); ok {
 		return c.runConfigurationCycle(ce, cfg, ctx)
 	}
-	dp := c.design.Datapaths[cfg.Datapath]
-	fsm := c.design.FSMs[cfg.FSM]
-
 	init := map[string][]int64{}
 	if err := c.configInit(cfg, c.store, init); err != nil {
 		return nil, err
@@ -373,13 +394,13 @@ func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Co
 	if el != nil {
 		el.Reset(init)
 	} else {
+		plan, err := c.plan(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
+		}
 		sim := c.opts.Engine.(EventEngine).NewSimulator()
 		clk := sim.NewSignal(cfg.ID+".clk", 1)
-		var err error
-		el, err = netlist.Elaborate(sim, clk, dp, fsm, netlist.Options{
-			Registry: c.opts.Registry,
-			InitData: init,
-		})
+		el, err = netlist.Elaborate(sim, clk, plan, init)
 		if err != nil {
 			return nil, fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
 		}
@@ -405,13 +426,6 @@ func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Co
 	}
 	wall := time.Since(start)
 
-	// Write back shared memories (the fabric is about to be reconfigured;
-	// only the SRAM contents survive). CopyContents writes straight into
-	// the store's buffers, so the write-back allocates nothing.
-	for ref, ram := range el.Shared {
-		ram.CopyContents(c.store[ref])
-	}
-
 	run := &ConfigRun{
 		ID:         cfg.ID,
 		Cycles:     rr.Cycles,
@@ -424,9 +438,20 @@ func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Co
 		Wall:       wall,
 		Sinks:      map[string][]int64{},
 	}
-	for id, sink := range el.Sinks {
-		// Copy: the sink's buffer is reused by the next replay round.
-		run.Sinks[id] = append([]int64(nil), sink.Recorded()...)
+	// Write back shared memories (the fabric is about to be
+	// reconfigured; only the SRAM contents survive) straight into the
+	// store's buffers, and copy the sink recordings, whose buffers the
+	// next replay round reuses.
+	ops := el.Plan().Ops()
+	for i, comp := range el.Components() {
+		switch x := comp.(type) {
+		case *operators.RAM:
+			if ref := ops[i].Ref; ref != "" {
+				x.CopyContents(c.store[ref])
+			}
+		case *operators.Sink:
+			run.Sinks[ops[i].ID] = append([]int64(nil), x.Recorded()...)
+		}
 	}
 	return run, nil
 }
@@ -442,9 +467,11 @@ func (c *Controller) cycleInstance(ce CycleEngine, cfg *xmlspec.Configuration, l
 	}
 	prog := c.progs[cfg.ID]
 	if prog == nil {
-		var err error
-		prog, err = ce.CompileConfiguration(c.design.Datapaths[cfg.Datapath], c.design.FSMs[cfg.FSM], c.opts.Registry)
+		plan, err := c.plan(cfg)
 		if err != nil {
+			return nil, err
+		}
+		if prog, err = ce.CompileConfiguration(plan); err != nil {
 			return nil, err
 		}
 		if c.progs != nil {

@@ -1,11 +1,13 @@
 package rtg
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/hades"
 	"repro/internal/netlist"
+	"repro/internal/operators"
 	"repro/internal/xmlspec"
 )
 
@@ -284,6 +286,20 @@ func TestInvalidDesignRejected(t *testing.T) {
 	}
 }
 
+// TestSharedMemoryDepthBounded: a shared memory deeper than
+// operators.MaxDepth fails the controller before the store allocates it.
+func TestSharedMemoryDepthBounded(t *testing.T) {
+	for _, depth := range []int{operators.MaxDepth + 1, 1 << 62} {
+		d := twoPartitionDesign(4)
+		d.RTG.Memories[0].Depth = depth
+		_, err := NewController(d, testOptions())
+		want := fmt.Sprintf(`memory "ma" needs a depth in [1, 16777216], has %d`, depth)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("depth %d: err=%v, want %q", depth, err, want)
+		}
+	}
+}
+
 // testOptions supplies the explicit bounds the controller requires —
 // generous enough never to bind in these tests. It intentionally does
 // NOT claim to be the flow defaults: the canonical values live only in
@@ -323,8 +339,8 @@ func TestEffectiveOptionsExposed(t *testing.T) {
 	if o.ClockPeriod != want.ClockPeriod || o.MaxCycles != want.MaxCycles || o.MaxConfigs != want.MaxConfigs {
 		t.Fatalf("effective options %+v, want the values passed in", o)
 	}
-	if o.Registry == nil || o.Engine == nil || o.Engine.EngineName() != hades.KernelTwoLevel {
-		t.Fatal("Registry and Engine must be defaulted, Engine to the twolevel kernel")
+	if o.Engine == nil || o.Engine.EngineName() != hades.KernelTwoLevel {
+		t.Fatal("Engine must be defaulted to the twolevel kernel")
 	}
 }
 

@@ -155,7 +155,11 @@ func TestRoundTripFromKernel(t *testing.T) {
 	}
 	sim := hades.NewSimulator()
 	clk := sim.NewSignal("clk", 1)
-	el, err := netlist.Elaborate(sim, clk, dp, fsm, netlist.Options{})
+	plan, err := netlist.Resolve(dp, fsm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	el, err := netlist.Elaborate(sim, clk, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +167,7 @@ func TestRoundTripFromKernel(t *testing.T) {
 	w := hades.NewVCDWriter(&buf)
 	w.AddAll(sim)
 	w.Header("count")
-	probe := hades.NewProbe(el.Wires["r_i.q"], 0)
+	probe := hades.NewProbe(el.Signal("r_i.q"), 0)
 	if _, err := el.RunToCompletion(10, 100); err != nil {
 		t.Fatal(err)
 	}

@@ -62,17 +62,10 @@ func sameVerdict(t *testing.T, dp *xmlspec.Datapath, reg *operators.Registry) {
 	}
 }
 
-// FuzzValidateDatapath parses fuzzed bytes as a datapath document and,
-// when they parse, requires ValidateDatapath to return the seed
-// validator's verdict: the same Error() text, or nil from both. It must
-// never panic or hang; hsim and xml2hdl validate datapaths loaded from
-// disk through the same function. The seeds are the marshalled
-// datapaths of every workload family's suite preset and the problem
-// mutations of the xmlspec test fixture. testdata/fuzz/ adds two
-// oversized attributes: a mux fan-in of 2^40, whose port list would
-// exhaust memory, and ram/rom depths above 2^62, where AddrWidth's 1<<w
-// overflows.
-func FuzzValidateDatapath(f *testing.F) {
+// addDatapathSeeds seeds a datapath fuzz target with the marshalled
+// problem mutations of the xmlspec test fixture and the datapaths of
+// every workload family's suite preset.
+func addDatapathSeeds(f *testing.F) {
 	seeds := xmlspec.ProblemDatapaths()
 	for _, dps := range familyDatapaths(f) {
 		seeds = append(seeds, dps...)
@@ -84,6 +77,20 @@ func FuzzValidateDatapath(f *testing.F) {
 		}
 		f.Add(doc)
 	}
+}
+
+// FuzzValidateDatapath parses fuzzed bytes as a datapath document and,
+// when they parse, requires ValidateDatapath to return the seed
+// validator's verdict: the same Error() text, or nil from both. It must
+// never panic or hang; hsim and xml2hdl validate datapaths loaded from
+// disk through the same function. The seeds are the marshalled
+// datapaths of every workload family's suite preset and the problem
+// mutations of the xmlspec test fixture. testdata/fuzz/ adds two
+// oversized attributes: a mux fan-in of 2^40, whose port list would
+// exhaust memory, and ram/rom depths above 2^62, where AddrWidth's 1<<w
+// overflows.
+func FuzzValidateDatapath(f *testing.F) {
+	addDatapathSeeds(f)
 	reg := operators.DefaultRegistry()
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		dp, err := xmlspec.ParseDatapath(doc)

@@ -20,7 +20,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/flow"
 	"repro/internal/hades"
-	"repro/internal/operators"
 	"repro/internal/scenario"
 	"repro/internal/simd"
 	"repro/internal/sweep"
@@ -122,9 +121,6 @@ func WithContext(ctx context.Context) Option { return flow.WithContext(ctx) }
 
 // WithObserver attaches a streaming observer (repeatable).
 func WithObserver(o Observer) Option { return flow.WithObserver(o) }
-
-// WithRegistry overrides the operator registry.
-func WithRegistry(r *operators.Registry) Option { return flow.WithRegistry(r) }
 
 // NewProgressObserver streams one line per completed configuration to w.
 func NewProgressObserver(w io.Writer) Observer { return flow.NewProgressObserver(w) }
