@@ -17,18 +17,21 @@ test:
 # run, fuzzed listener graphs on the event kernel must match the seed
 # reference kernel, fuzzed MiniJ source must parse, analyze and
 # compile to an error or a design, never a panic, fuzzed datapath
-# XML must get the seed validator's verdict, byte for byte, and every
+# XML must get the seed validator's verdict, byte for byte, every
 # fuzzed datapath the validator accepts must resolve into a plan that
-# both engines build or reject together, never with a panic. The
-# checked-in corpora (internal/flow/, internal/hades/testdata/fuzz/,
-# internal/compiler/testdata/fuzz/ and internal/xmlspec/testdata/fuzz/)
-# also run as part of `make test`.
+# both engines build or reject together, never with a panic, and fuzzed
+# FSM XML must decode, validate and resolve into a table or an error
+# (at the default -fuzzminimizetime a run with an empty fuzz cache sat
+# at 0 execs/s). The checked-in corpora (internal/flow/,
+# internal/hades/testdata/fuzz/, internal/compiler/testdata/fuzz/ and
+# internal/xmlspec/testdata/fuzz/) also run as part of `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGangLaneMatchesSingleLane$$' -fuzztime 20s ./internal/flow/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelMatchesSeedReference$$' -fuzztime 20s ./internal/hades/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrontEnd$$' -fuzztime 20s ./internal/compiler/
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateDatapath$$' -fuzztime 20s ./internal/xmlspec/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanBuildsOnBothEngines$$' -fuzztime 20s ./internal/xmlspec/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFSM$$' -fuzztime 20s -fuzzminimizetime 2x ./internal/xmlspec/
 
 # flake mirrors the CI flake step: the timing- and scheduling-sensitive
 # tests, 20 runs each, so a new flake shows before it lands. The chaos

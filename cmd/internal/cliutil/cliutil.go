@@ -32,24 +32,11 @@ func (f *FlowFlags) Register(fs *flag.FlagSet) {
 		fs = flag.CommandLine
 	}
 	fs.StringVar(&f.Backend, "backend", flow.DefaultBackend,
-		"simulator backend: "+BackendUsage())
+		"simulator backend: "+flow.BackendCatalog())
 	fs.Int64Var(&f.Period, "period", int64(flow.DefaultClockPeriod),
 		"clock period in simulator ticks")
 	fs.Uint64Var(&f.Cycles, "cycles", flow.DefaultMaxCycles,
 		"cycle cap per configuration")
-}
-
-// BackendUsage renders the backend registry as a flag-help catalog:
-// one "name (kind): description" entry per registered backend, in
-// Backends() order (default first). Shared by every -backend flag so
-// the tools describe the same registry the same way.
-func BackendUsage() string {
-	infos := flow.Backends()
-	parts := make([]string, len(infos))
-	for i, bi := range infos {
-		parts[i] = fmt.Sprintf("%s (%s): %s", bi.Name, bi.Kind, bi.Desc)
-	}
-	return strings.Join(parts, "; ")
 }
 
 // Options renders the parsed flags as flow options.

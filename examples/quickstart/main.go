@@ -33,7 +33,7 @@ func main() {
 		},
 	}
 
-	// Run the same flow on every registered simulator backend; the
+	// Run the same flow on both simulator backends; the
 	// compiled cycle engine agrees with the event kernel clock edge for
 	// clock edge.
 	for _, backend := range repro.Backends() {

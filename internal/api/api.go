@@ -239,8 +239,8 @@ type RunRecord struct {
 	WallNS int64  `json:"wall_ns,omitempty"`
 }
 
-// BackendInfo describes one registered simulator backend: the registry
-// descriptor served by GET /v1/backends and embedded in /statsz. Added
+// BackendInfo describes one simulator backend: the flow descriptor
+// served by GET /v1/backends and embedded in /statsz. Added
 // without a schema bump — the fields are additive and every earlier
 // field keeps its meaning.
 type BackendInfo struct {
@@ -251,7 +251,7 @@ type BackendInfo struct {
 }
 
 // BackendsResponse is the GET /v1/backends payload: the server's
-// default backend plus every registered descriptor, default first.
+// default backend plus every backend descriptor, default first.
 type BackendsResponse struct {
 	SchemaVersion int           `json:"schema_version,omitempty"`
 	Default       string        `json:"default"`
@@ -301,7 +301,7 @@ type ServerStats struct {
 
 	SessionsDetail []SessionStats `json:"sessions_detail,omitempty"`
 
-	// Backends lists the registered backend descriptors (additive,
+	// Backends lists the backend descriptors (additive,
 	// schema unchanged); Backend is the server's default.
 	Backend  string        `json:"backend,omitempty"`
 	Backends []BackendInfo `json:"backends,omitempty"`

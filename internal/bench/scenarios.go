@@ -23,7 +23,7 @@ func Scenarios() []Scenario { return ScenariosFor(flow.DefaultBackend) }
 
 // ScenariosFor returns the benchmark registry in a stable order, every
 // scenario executing on the named simulator backend. The pinned subset
-// is the CI regression set — gated once per registered backend against
+// is the CI regression set — gated once per backend against
 // that backend's own baseline; the rest are opt-in investigations
 // (larger images, monolithic-vs-partitioned contrast).
 //
@@ -35,7 +35,7 @@ func Scenarios() []Scenario { return ScenariosFor(flow.DefaultBackend) }
 // reports the lookup error.
 func ScenariosFor(backend string) []Scenario {
 	var list []Scenario
-	if backendKind(backend) == flow.KindEvent {
+	if b, err := flow.LookupBackend(backend); err != nil || b.Kind == flow.KindEvent {
 		list = []Scenario{
 			// Raw kernel traffic: the substrate numbers behind every
 			// simulation time. Mirrors the pinned shapes benchmarked against
@@ -128,35 +128,21 @@ func Select(selector string, all []Scenario) ([]Scenario, error) {
 	return out, nil
 }
 
-// backendKind resolves a backend name to its registered kind. Unknown
-// names read as event so the registry shape stays stable; the backend
-// error surfaces when a scenario prepares.
-func backendKind(backend string) flow.BackendKind {
-	for _, b := range flow.Backends() {
-		if b.Name == backend {
-			return b.Kind
-		}
-	}
-	return flow.KindEvent
-}
-
 // --- kernel scenarios -------------------------------------------------------
 
-// kernelScenario builds a fresh simulator on the scenario's backend per
-// iteration and runs it for a fixed simulated horizon; only the Run
-// call is timed.
+// kernelScenario builds a fresh event simulator per iteration and runs
+// it for a fixed simulated horizon; only the Run call is timed.
 func kernelScenario(backend, name, desc string, pinned bool, horizon hades.Time, build func(sim *hades.Simulator)) Scenario {
 	return Scenario{
 		Name:   name,
 		Desc:   desc,
 		Pinned: pinned,
 		Prepare: func() (RunFunc, error) {
-			be, err := flow.LookupBackend(backend)
-			if err != nil {
+			if _, err := flow.LookupBackend(backend); err != nil {
 				return nil, err
 			}
 			return func() (Measure, error) {
-				sim := be.New()
+				sim := hades.NewSimulator()
 				build(sim)
 				start := time.Now()
 				if _, err := sim.Run(horizon); err != nil {
@@ -527,8 +513,7 @@ func campaignScenarios(backend string) []Scenario {
 // simulator is built directly rather than through a controller).
 func prepareHandcrafted(backend string) func() (RunFunc, error) {
 	return func() (RunFunc, error) {
-		be, err := flow.LookupBackend(backend)
-		if err != nil {
+		if _, err := flow.LookupBackend(backend); err != nil {
 			return nil, err
 		}
 		stimulus := make([]int64, 4096)
@@ -550,7 +535,7 @@ func prepareHandcrafted(backend string) func() (RunFunc, error) {
 			if err != nil {
 				return Measure{}, err
 			}
-			sim := be.New()
+			sim := hades.NewSimulator()
 			clk := sim.NewSignal("clk", 1)
 			el, err := netlist.Elaborate(sim, clk, plan, map[string][]int64{"src": stimulus})
 			if err != nil {

@@ -4,7 +4,7 @@
 // actual verification flow of the paper's Figure 1 — compile →
 // transform → elaborate → simulate → verify — to internal/flow, which
 // owns the staged pipeline, the defaults, the observers and the
-// simulator backend registry.
+// simulator backend choice.
 package core
 
 import (

@@ -291,13 +291,10 @@ func TestZeroOptionsObserveFlowDefaults(t *testing.T) {
 }
 
 // TestSuitePassesUnderEveryBackend runs the hamming regression case on
-// every registered backend — the suite-level acceptance of the
-// backend registry (`testsuite -backend compiled` in miniature).
+// every backend — the suite-level acceptance of the backend choice
+// (`testsuite -backend compiled` in miniature).
 func TestSuitePassesUnderEveryBackend(t *testing.T) {
 	for _, backend := range flow.Backends() {
-		if strings.HasPrefix(backend.Name, "test-") {
-			continue // synthetic registrations from other tests
-		}
 		s := &Suite{Name: "backend-" + backend.Name, Cases: []TestCase{hammingCase("hamming", 16)}}
 		res := s.Run(Options{Backend: backend.Name})
 		if !res.Passed() {

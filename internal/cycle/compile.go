@@ -27,23 +27,11 @@ import (
 	"repro/internal/hades"
 	"repro/internal/netlist"
 	"repro/internal/operators"
-	"repro/internal/rtg"
 )
 
-// Engine is the compiled cycle-based execution engine, satisfying
-// rtg.CycleEngine.
-type Engine struct{}
-
-// New returns the compiled engine.
-func New() *Engine { return &Engine{} }
-
-// EngineName identifies the engine in run records.
-func (e *Engine) EngineName() string { return "compiled" }
-
-// CompileConfiguration levelizes one configuration for the controller.
-func (e *Engine) CompileConfiguration(plan *netlist.Plan) (rtg.ConfigProgram, error) {
-	return Compile(plan)
-}
+// Kernel names the compiled engine in run records and in the backend
+// catalog, as hades.KernelTwoLevel names the event kernel.
+const Kernel = "compiled"
 
 // slotInfo describes one value slot — the compiled counterpart of a
 // hades.Signal. The plan's slots come first, in plan order and under
@@ -190,9 +178,6 @@ func (p *Program) SlotNames() []string {
 	}
 	return out
 }
-
-// Instantiate allocates runnable state for the given lane count.
-func (p *Program) Instantiate(lanes int) rtg.ConfigInstance { return p.NewInstance(lanes) }
 
 // Compile levelizes a resolved configuration: every operator kind the
 // library declares lowers to its node, reading the word function its

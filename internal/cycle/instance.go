@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hades"
-	"repro/internal/rtg"
 )
 
 // Sample is one traced slot observation: the raw masked value and its
@@ -101,9 +100,6 @@ func (p *Program) NewInstance(lanes int) *Instance {
 	in.traces = make([][][]Sample, lanes)
 	return in
 }
-
-// Lanes returns the lane count.
-func (in *Instance) Lanes() int { return in.lanes }
 
 // EnableTrace records every slot's pre-edge value each cycle, the
 // cycle-engine side of the cross-engine clock-edge trace comparison.
@@ -502,17 +498,27 @@ func (in *Instance) settle(lo, hi int) {
 	}
 }
 
+// LaneRun reports one lane's execution of one configuration — the
+// cycle-engine counterpart of netlist.RunResult plus kernel counters.
+type LaneRun struct {
+	Cycles     uint64
+	EndTime    hades.Time
+	Completed  bool
+	FinalState string
+	Stats      hades.Stats
+}
+
 // Result reports a lane's last run, with hades-shaped counters: Events,
 // Reactions and Instants are per-run, Elaborations is 1 (the program
 // compiles once) and Resets counts replay rounds — the first Reset is
 // part of instantiation, matching the event path where a configuration's
 // first visit elaborates (Resets 0) and repeat visits reset-and-replay.
-func (in *Instance) Result(lane int) rtg.LaneRun {
+func (in *Instance) Result(lane int) LaneRun {
 	replays := in.resets[lane]
 	if replays > 0 {
 		replays--
 	}
-	return rtg.LaneRun{
+	return LaneRun{
 		Cycles:     in.cycles[lane],
 		EndTime:    in.endTime[lane],
 		Completed:  in.completed[lane],

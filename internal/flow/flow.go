@@ -11,8 +11,9 @@
 // WithArtifacts, WithBackend, WithObserver, …); the typed stage values
 // Source → Compiled → Elaborated → SimResult → Verdict make the
 // dataflow explicit; Observers stream stage and per-configuration
-// progress; and the simulator backend registry (RegisterBackend)
-// selects the event kernel every configuration runs on.
+// progress; and WithBackend picks one of the two simulator backends
+// every configuration runs on: the hades event kernel (twolevel, the
+// default) or the compiled cycle engine (compiled).
 //
 // This package is also the single source of truth for the flow
 // defaults (DefaultClockPeriod, DefaultMaxCycles, DefaultMaxConfigs):
@@ -92,7 +93,7 @@ func WithWorkDir(dir string) Option { return func(c *Config) { c.WorkDir = dir }
 // every compiled document (requires WithWorkDir).
 func WithArtifacts(emit bool) Option { return func(c *Config) { c.EmitArtifacts = emit } }
 
-// WithBackend selects the simulator backend by registry name.
+// WithBackend selects the simulator backend by name (see Backends).
 func WithBackend(name string) Option { return func(c *Config) { c.Backend = name } }
 
 // WithFreshElaboration(true) disables the reconfiguration replay cache,
@@ -121,12 +122,11 @@ func WithObserver(o Observer) Option {
 // A Pipeline is cheap; build one per case or share one across cases —
 // stages keep no mutable pipeline state.
 type Pipeline struct {
-	cfg     Config
-	backend Backend
+	cfg Config
 }
 
 // New resolves the options into a Pipeline. It fails when the selected
-// backend is not registered.
+// backend is unknown.
 func New(opts ...Option) (*Pipeline, error) {
 	cfg := Config{
 		ClockPeriod: DefaultClockPeriod,
@@ -149,18 +149,14 @@ func New(opts ...Option) (*Pipeline, error) {
 	if cfg.MaxConfigs <= 0 {
 		cfg.MaxConfigs = DefaultMaxConfigs
 	}
-	backend, err := LookupBackend(cfg.Backend)
-	if err != nil {
+	if _, err := LookupBackend(cfg.Backend); err != nil {
 		return nil, err
 	}
-	return &Pipeline{cfg: cfg, backend: backend}, nil
+	return &Pipeline{cfg: cfg}, nil
 }
 
 // Config returns the pipeline's resolved configuration.
 func (p *Pipeline) Config() Config { return p.cfg }
-
-// Backend returns the resolved simulator backend.
-func (p *Pipeline) Backend() Backend { return p.backend }
 
 // ctxErr reports a pending cancellation, wrapped with the stage name.
 func (p *Pipeline) ctxErr(stage StageName, name string) error {
@@ -178,7 +174,7 @@ func (p *Pipeline) rtgOptions() rtg.Options {
 		ClockPeriod:   p.cfg.ClockPeriod,
 		MaxCycles:     p.cfg.MaxCycles,
 		MaxConfigs:    p.cfg.MaxConfigs,
-		Engine:        p.backend.engine(),
+		Compiled:      p.cfg.Backend == BackendCompiled,
 		Context:       p.cfg.Context,
 		DisableReplay: p.cfg.FreshElaboration,
 		Observer: func(cfgID string, el *netlist.Elaboration) {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/flow"
-	"repro/internal/hades"
 	"repro/internal/netlist"
 	"repro/internal/rtg"
 	"repro/internal/xmlspec"
@@ -119,44 +118,10 @@ func TestBackendRegistry(t *testing.T) {
 	if b, err := flow.LookupBackend(""); err != nil || b.Name != flow.DefaultBackend {
 		t.Fatalf("empty name must resolve the default backend, got %v/%v", b.Name, err)
 	}
-	if err := flow.RegisterBackend(flow.Backend{Name: "twolevel", New: hades.NewSimulator}); err == nil {
-		t.Fatal("duplicate registration must fail")
-	}
-	if err := flow.RegisterBackend(flow.Backend{Name: "incomplete"}); err == nil {
-		t.Fatal("factory-less registration must fail")
-	}
-}
-
-func TestCustomBackendSelectable(t *testing.T) {
-	built := 0
-	if err := flow.RegisterBackend(flow.Backend{
-		Name: "test-counting",
-		Desc: "two-level kernel that counts constructions",
-		New: func() *hades.Simulator {
-			built++
-			return hades.NewSimulator()
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := flow.New(flow.WithBackend("test-counting"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := p.Run(scaleSource())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.OK() {
-		t.Fatalf("run failed: %+v", out.Verdict)
-	}
-	if built == 0 {
-		t.Fatal("custom backend factory never used")
-	}
 }
 
 // TestRunVerifiesUnderEveryBackend is the acceptance check in miniature:
-// the same case passes on every registered backend, and the backends
+// the same case passes on every backend, and the backends
 // agree on the final memory contents and on each configuration's cycle
 // count and final state (the engines are required to be observationally
 // equivalent at clock edges).
@@ -165,9 +130,6 @@ func TestRunVerifiesUnderEveryBackend(t *testing.T) {
 	refName := ""
 	for _, bi := range flow.Backends() {
 		name := bi.Name
-		if strings.HasPrefix(name, "test-") {
-			continue // registered by other tests
-		}
 		p, err := flow.New(flow.WithBackend(name))
 		if err != nil {
 			t.Fatal(err)

@@ -96,6 +96,36 @@ func TestPreparedDesignSetSeed(t *testing.T) {
 	}
 }
 
+// TestSetSeedDuringGangIsRaceFree: SetSeed looks its memory up while
+// another goroutine runs sequential gang rounds on the event kernel,
+// which swap the controller's store in lane by lane. The lookup must
+// not read the store; `go test -race` reports it if it does.
+func TestSetSeedDuringGangIsRaceFree(t *testing.T) {
+	d := prepare(t, "twolevel", scaleSource())
+	lanes := make([]map[string][]int64, 4)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			if _, err := d.SimulateGang(lanes); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var err error
+	for err == nil {
+		select {
+		case <-done:
+			return
+		default:
+			err = d.SetSeed("a", []int64{1, 2, 3})
+		}
+	}
+	<-done
+	t.Fatal(err)
+}
+
 // TestPreparedDesignFromLoadedDesign covers PrepareDesign: no compiled
 // stage, zero-filled seeds, nil Verdict from Run.
 func TestPreparedDesignFromLoadedDesign(t *testing.T) {

@@ -55,12 +55,20 @@ type condOr struct{ l, r Cond }
 func (o condOr) Eval(env Env) bool { return o.l.Eval(env) || o.r.Eval(env) }
 func (o condOr) String() string    { return "(" + o.l.String() + " | " + o.r.String() + ")" }
 
+// MaxNesting bounds how deeply '!' and '(' may nest in a guard. The
+// parser recurses once per level, so the bound keeps a deeply nested
+// guard in an fsm.xml loaded from disk from exhausting the goroutine
+// stack, which is fatal rather than an error. Compiler-generated
+// guards use neither.
+const MaxNesting = 256
+
 // ParseCond compiles a guard expression. The grammar, lowest precedence
 // first:  or := and ('|' and)* ; and := unary ('&' unary)* ;
 // unary := '!' unary | '(' or ')' | '0' | '1' | identifier.
 // An empty expression is the always-true default guard. Identifiers
 // must name a declared status input; each resolves to its position in
-// inputs, so evaluation indexes rather than looks names up.
+// inputs, so evaluation indexes rather than looks names up. Nesting
+// deeper than MaxNesting is an error naming the offending offset.
 func ParseCond(src string, inputs []string) (Cond, error) {
 	p := &condParser{src: src, inputs: inputs}
 	p.next()
@@ -98,6 +106,7 @@ type condParser struct {
 	tok    condToken
 	lit    string
 	inputs []string
+	depth  int // open '!' and '(' levels; see MaxNesting
 }
 
 func (p *condParser) next() {
@@ -184,6 +193,13 @@ func (p *condParser) parseAnd() (Cond, error) {
 }
 
 func (p *condParser) parseUnary() (Cond, error) {
+	if p.tok == tokNot || p.tok == tokLParen {
+		if p.depth == MaxNesting {
+			return nil, fmt.Errorf("fsmsim: cond: nesting deeper than %d at offset %d", MaxNesting, p.pos-1)
+		}
+		p.depth++
+		defer func() { p.depth-- }()
+	}
 	switch p.tok {
 	case tokNot:
 		p.next()

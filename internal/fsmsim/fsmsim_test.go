@@ -1,6 +1,7 @@
 package fsmsim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -54,11 +55,31 @@ func TestParseCondBasics(t *testing.T) {
 
 func TestParseCondErrors(t *testing.T) {
 	inputs := []string{"a"}
-	for _, src := range []string{"ghost", "a &", "(a", "a )", "a b", "&", "a @ b"} {
+	for _, src := range []string{"ghost", "a &", "(a", "a )", "a b", "&", "a @ b",
+		nestedCond("(", MaxNesting+1), nestedCond("!", MaxNesting+1)} {
 		if _, err := ParseCond(src, inputs); err == nil {
 			t.Errorf("ParseCond(%q) must fail", src)
 		}
 	}
+	// The error names the first level past the bound; at the bound
+	// itself the guard parses.
+	want := fmt.Sprintf("nesting deeper than %d at offset %d", MaxNesting, MaxNesting)
+	if _, err := ParseCond(nestedCond("(", MaxNesting+1), inputs); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("one level past the bound: %v, want %q", err, want)
+	}
+	for _, src := range []string{nestedCond("(", MaxNesting), nestedCond("!", MaxNesting)} {
+		if _, err := ParseCond(src, inputs); err != nil {
+			t.Errorf("at the nesting bound: %v", err)
+		}
+	}
+}
+
+// nestedCond wraps the input a in n levels of open ("(" or "!").
+func nestedCond(open string, n int) string {
+	if open == "(" {
+		return strings.Repeat("(", n) + "a" + strings.Repeat(")", n)
+	}
+	return strings.Repeat(open, n) + "a"
 }
 
 // TestParseCondResolvesInputPositions: a guard reads its identifiers by

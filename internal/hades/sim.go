@@ -126,8 +126,7 @@ type simMark struct {
 }
 
 // KernelTwoLevel names the event kernel: the two-level time-bucketed
-// queue (queue.go). The flow package registers it as the default
-// backend.
+// queue (queue.go). The flow package lists it as the default backend.
 const KernelTwoLevel = "twolevel"
 
 // NewSimulator returns an empty simulator.

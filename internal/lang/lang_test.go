@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -188,6 +189,12 @@ func TestParseErrors(t *testing.T) {
 		{"void f() { for (", "expected identifier, found end of file"},
 		{"void f() { for (i = 0; i < 4; ", "expected identifier, found end of file"},
 		{"void f() { for (5 = 0;;) {} }", "expected identifier"},
+		// One level past MaxNesting, in each construct that nests.
+		{nestedParens(MaxNesting + 1), fmt.Sprintf("1:%d: nesting deeper than %d", 16+MaxNesting, MaxNesting)},
+		{"void f() { x = " + strings.Repeat("!", MaxNesting+1) + "1; }", "nesting deeper than"},
+		{"void f() { x = " + strings.Repeat("a[", MaxNesting+1) + "0" + strings.Repeat("]", MaxNesting+1) + "; }", "nesting deeper than"},
+		{"void f() { " + strings.Repeat("while (1) { ", MaxNesting+1) + strings.Repeat("} ", MaxNesting+2), "nesting deeper than"},
+		{"void f() { if (1) { } " + strings.Repeat("else if (1) { } ", MaxNesting) + "}", "nesting deeper than"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)
@@ -199,6 +206,24 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q): error %q does not mention %q", c.src, err, c.expect)
 		}
 	}
+	// At MaxNesting itself every construct still parses.
+	for _, src := range []string{
+		nestedParens(MaxNesting),
+		"void f() { x = " + strings.Repeat("!", MaxNesting) + "1; }",
+		"void f() { x = " + strings.Repeat("a[", MaxNesting) + "0" + strings.Repeat("]", MaxNesting) + "; }",
+		"void f() { " + strings.Repeat("while (1) { ", MaxNesting) + strings.Repeat("} ", MaxNesting+1),
+		"void f() { if (1) { } " + strings.Repeat("else if (1) { } ", MaxNesting-1) + "}",
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("Parse at the nesting bound: %v", err)
+		}
+	}
+}
+
+// nestedParens is a one-statement function whose right-hand side sits
+// n parentheses deep; the first '(' is at column 16.
+func nestedParens(n int) string {
+	return "void f() { x = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; }"
 }
 
 func TestAnalyzeAcceptsGood(t *testing.T) {

@@ -2,10 +2,18 @@ package lang
 
 import "fmt"
 
+// MaxNesting bounds how deeply a MiniJ function may nest: each if,
+// while or for statement (an else-if included), parenthesised or
+// indexed expression and unary operator takes one level. The parser
+// recurses once per level, so the bound keeps deeply nested input from
+// exhausting the goroutine stack, which is fatal rather than an error.
+const MaxNesting = 256
+
 // Parser builds the AST by recursive descent.
 type Parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // open nesting levels; see MaxNesting
 }
 
 // Parse tokenises and parses a MiniJ compilation unit.
@@ -49,6 +57,18 @@ func (p *Parser) expect(kind TokenKind) (Token, error) {
 	p.pos++
 	return t, nil
 }
+
+// nest opens one nesting level at the current token, failing past
+// MaxNesting; callers defer p.unnest().
+func (p *Parser) nest() error {
+	if p.depth == MaxNesting {
+		return fmt.Errorf("lang: %s: nesting deeper than %d", p.cur().Pos, MaxNesting)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *Parser) unnest() { p.depth-- }
 
 func describe(t Token) string {
 	if t.Lit != "" {
@@ -224,6 +244,10 @@ func (p *Parser) parseAssignOrStore() (Stmt, error) {
 }
 
 func (p *Parser) parseIf() (Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	kw := p.next()
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
@@ -260,6 +284,10 @@ func (p *Parser) parseIf() (Stmt, error) {
 }
 
 func (p *Parser) parseWhile() (Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	kw := p.next()
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
@@ -279,6 +307,10 @@ func (p *Parser) parseWhile() (Stmt, error) {
 }
 
 func (p *Parser) parseFor() (Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	kw := p.next()
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
@@ -408,30 +440,27 @@ func (p *Parser) parseMultiplicative() (Expr, error) {
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
+	var op UnaryOp
 	switch p.cur().Kind {
 	case TokMinus:
-		pos := p.next().Pos
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: OpNeg, X: x, Pos: pos}, nil
+		op = OpNeg
 	case TokTilde:
-		pos := p.next().Pos
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: OpBNot, X: x, Pos: pos}, nil
+		op = OpBNot
 	case TokBang:
-		pos := p.next().Pos
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: OpLNot, X: x, Pos: pos}, nil
+		op = OpLNot
+	default:
+		return p.parsePrimary()
 	}
-	return p.parsePrimary()
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
+	pos := p.next().Pos
+	x, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	return &UnaryExpr{Op: op, X: x, Pos: pos}, nil
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {
@@ -442,6 +471,10 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	case TokIdent:
 		t := p.next()
 		if p.cur().Kind == TokLBracket {
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
+			defer p.unnest()
 			p.next()
 			idx, err := p.parseExpr()
 			if err != nil {
@@ -454,6 +487,10 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		return &VarRef{Name: t.Lit, Pos: t.Pos}, nil
 	case TokLParen:
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		p.next()
 		e, err := p.parseExpr()
 		if err != nil {

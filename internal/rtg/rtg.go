@@ -40,6 +40,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cycle"
 	"repro/internal/hades"
 	"repro/internal/netlist"
 	"repro/internal/operators"
@@ -57,13 +58,12 @@ type Options struct {
 	ClockPeriod hades.Time // required; > 0
 	MaxCycles   uint64     // per configuration; required
 	MaxConfigs  int        // reconfiguration bound; required
-	// Engine selects the execution engine. nil runs the event path on
-	// hades.NewSimulator, reported as the twolevel kernel. A
-	// CycleEngine switches the controller to compiled clock-by-clock
-	// execution: configurations are levelized once and replayed with no
-	// event queue, and ExecuteGangContext runs them in lockstep across
-	// lanes.
-	Engine Engine
+	// Compiled selects the cycle engine (internal/cycle): each
+	// configuration is levelized once and replayed clock by clock with no
+	// event queue, and ExecuteGangContext runs lanes in lockstep. When
+	// false, configurations run on the hades event kernel, reported as
+	// the twolevel kernel.
+	Compiled bool
 	// LocalInit seeds non-shared memories/stimuli per configuration id
 	// and operator id (contents typically come from the I/O files).
 	LocalInit map[string]map[string][]int64
@@ -93,13 +93,6 @@ type Options struct {
 
 func (o *Options) withDefaults() (Options, error) {
 	out := *o
-	switch e := out.Engine.(type) {
-	case nil:
-		out.Engine = &SimulatorEngine{Kernel: hades.KernelTwoLevel, New: hades.NewSimulator}
-	case EventEngine, CycleEngine:
-	default:
-		return out, fmt.Errorf("rtg: Options.Engine %q is neither an EventEngine nor a CycleEngine", e.EngineName())
-	}
 	if out.ClockPeriod <= 0 {
 		return out, fmt.Errorf("rtg: Options.ClockPeriod must be positive (construct options through internal/flow, which supplies the defaults)")
 	}
@@ -149,21 +142,21 @@ type Controller struct {
 	// visit on, replay cache or not.
 	plans map[string]*netlist.Plan
 	// cache holds one live elaboration per configuration id — the
-	// controller's kernel factory is fixed, so within a controller the
+	// controller's engine is fixed, so within a controller the
 	// configuration id alone keys (configuration, kernel). nil when
 	// Options.DisableReplay is set.
 	cache map[string]*netlist.Elaboration
 	// progs and insts are the cycle-engine replay caches: one compiled
 	// program per configuration id and one instance per (configuration,
 	// lane count). nil when Options.DisableReplay is set.
-	progs map[string]ConfigProgram
-	insts map[instKey]ConfigInstance
+	progs map[string]*cycle.Program
+	insts map[instKey]*cycle.Instance
 	// seedBuf reuses per-operator seed-copy buffers across runs so the
 	// replay path's mandatory copies (see runConfiguration) do not
 	// allocate in the steady state.
 	seedBuf map[seedKey][]int64
 	// laneInit is the InitData map the cycle paths refill for every lane
-	// reset: a ConfigInstance copies what Reset reads and keeps no
+	// reset: a cycle.Instance copies what Reset reads and keeps no
 	// reference, so one map serves every visit.
 	laneInit map[string][]int64
 }
@@ -193,8 +186,8 @@ func NewController(design *xmlspec.Design, opts Options) (*Controller, error) {
 		seedBuf: map[seedKey][]int64{}, laneInit: map[string][]int64{}}
 	if !o.DisableReplay {
 		c.cache = map[string]*netlist.Elaboration{}
-		c.progs = map[string]ConfigProgram{}
-		c.insts = map[instKey]ConfigInstance{}
+		c.progs = map[string]*cycle.Program{}
+		c.insts = map[instKey]*cycle.Instance{}
 	}
 	for _, m := range design.RTG.Memories {
 		if m.Depth > operators.MaxDepth {
@@ -255,9 +248,10 @@ func (c *Controller) Memory(id string) ([]int64, error) {
 	return out, nil
 }
 
-// MemoryIDs lists the shared memories.
+// MemoryIDs lists the shared memories. It reads only the immutable
+// design, so it takes no lock: gang walks swap the store while they run.
 func (c *Controller) MemoryIDs() []string {
-	out := make([]string, 0, len(c.store))
+	out := make([]string, 0, len(c.design.RTG.Memories))
 	for _, m := range c.design.RTG.Memories {
 		out = append(out, m.ID)
 	}
@@ -379,8 +373,8 @@ func (c *Controller) plan(cfg *xmlspec.Configuration) (*netlist.Plan, error) {
 }
 
 func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Context) (*ConfigRun, error) {
-	if ce, ok := c.opts.Engine.(CycleEngine); ok {
-		return c.runConfigurationCycle(ce, cfg, ctx)
+	if c.opts.Compiled {
+		return c.runConfigurationCycle(cfg, ctx)
 	}
 	init := map[string][]int64{}
 	if err := c.configInit(cfg, c.store, init); err != nil {
@@ -398,7 +392,7 @@ func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Co
 		if err != nil {
 			return nil, fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
 		}
-		sim := c.opts.Engine.(EventEngine).NewSimulator()
+		sim := hades.NewSimulator()
 		clk := sim.NewSignal(cfg.ID+".clk", 1)
 		el, err = netlist.Elaborate(sim, clk, plan, init)
 		if err != nil {
@@ -434,7 +428,7 @@ func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Co
 		FinalState: rr.FinalState,
 		Events:     sim.Stats().Events,
 		Stats:      sim.Stats(),
-		Kernel:     c.opts.Engine.EngineName(),
+		Kernel:     hades.KernelTwoLevel,
 		Wall:       wall,
 		Sinks:      map[string][]int64{},
 	}
@@ -458,7 +452,7 @@ func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Co
 
 // cycleInstance resolves (and on the replay path caches) the compiled
 // program and lane-count instance for one configuration.
-func (c *Controller) cycleInstance(ce CycleEngine, cfg *xmlspec.Configuration, lanes int) (ConfigInstance, error) {
+func (c *Controller) cycleInstance(cfg *xmlspec.Configuration, lanes int) (*cycle.Instance, error) {
 	key := instKey{cfg.ID, lanes}
 	if c.insts != nil {
 		if inst, ok := c.insts[key]; ok {
@@ -471,25 +465,25 @@ func (c *Controller) cycleInstance(ce CycleEngine, cfg *xmlspec.Configuration, l
 		if err != nil {
 			return nil, err
 		}
-		if prog, err = ce.CompileConfiguration(plan); err != nil {
+		if prog, err = cycle.Compile(plan); err != nil {
 			return nil, err
 		}
 		if c.progs != nil {
 			c.progs[cfg.ID] = prog
 		}
 	}
-	inst := prog.Instantiate(lanes)
+	inst := prog.NewInstance(lanes)
 	if c.insts != nil {
 		c.insts[key] = inst
 	}
 	return inst, nil
 }
 
-// runConfigurationCycle is runConfiguration on a CycleEngine: compile
-// (or fetch) the levelized program, reset a single lane from the store,
-// and execute clock-by-clock with no event queue.
-func (c *Controller) runConfigurationCycle(ce CycleEngine, cfg *xmlspec.Configuration, ctx context.Context) (*ConfigRun, error) {
-	inst, err := c.cycleInstance(ce, cfg, 1)
+// runConfigurationCycle is runConfiguration on the cycle engine:
+// compile (or fetch) the levelized program, reset a single lane from the
+// store, and execute clock-by-clock with no event queue.
+func (c *Controller) runConfigurationCycle(cfg *xmlspec.Configuration, ctx context.Context) (*ConfigRun, error) {
+	inst, err := c.cycleInstance(cfg, 1)
 	if err != nil {
 		return nil, fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
 	}
@@ -513,11 +507,11 @@ func (c *Controller) runConfigurationCycle(ce CycleEngine, cfg *xmlspec.Configur
 			inst.CopyShared(0, op.Ref, c.store[op.Ref])
 		}
 	}
-	return c.laneRunRecord(ce, cfg.ID, inst, 0, wall), nil
+	return laneRunRecord(cfg.ID, inst, 0, wall), nil
 }
 
 // laneRunRecord converts one lane's results into a ConfigRun record.
-func (c *Controller) laneRunRecord(ce CycleEngine, cfgID string, inst ConfigInstance, lane int, wall time.Duration) *ConfigRun {
+func laneRunRecord(cfgID string, inst *cycle.Instance, lane int, wall time.Duration) *ConfigRun {
 	lr := inst.Result(lane)
 	run := &ConfigRun{
 		ID:         cfgID,
@@ -527,7 +521,7 @@ func (c *Controller) laneRunRecord(ce CycleEngine, cfgID string, inst ConfigInst
 		FinalState: lr.FinalState,
 		Events:     lr.Stats.Events,
 		Stats:      lr.Stats,
-		Kernel:     ce.EngineName(),
+		Kernel:     cycle.Kernel,
 		Wall:       wall,
 		Sinks:      map[string][]int64{},
 	}
@@ -551,12 +545,12 @@ type GangLane struct {
 // a seeded memory is loaded LoadMemory-style, missing ids keep the
 // store contents; a nil map keeps the store as-is).
 //
-// On a CycleEngine the lanes execute in lockstep: every configuration
-// is compiled once, instantiated for the lane count, and evaluated
-// struct-of-arrays — the walk and the per-node bookkeeping amortize
-// over the population. Event engines fall back to one sequential walk
-// per lane (sharing the replay cache), which is the baseline gang
-// benchmarks compare against. Per-configuration AfterConfig/Observer
+// On the cycle engine the lanes execute in lockstep: every
+// configuration is compiled once, instantiated for the lane count, and
+// evaluated struct-of-arrays — the walk and the per-node bookkeeping
+// amortize over the population. The event kernel falls back to one
+// sequential walk per lane (sharing the replay cache), which is the
+// baseline gang benchmarks compare against. Per-configuration AfterConfig/Observer
 // hooks do not fire during gang walks.
 //
 // A lane whose configuration misses the cycle cap stops walking
@@ -595,8 +589,8 @@ func (c *Controller) ExecuteGangContext(ctx context.Context, laneSeeds []map[str
 		}
 		stores[l] = st
 	}
-	if ce, ok := c.opts.Engine.(CycleEngine); ok {
-		return c.gangLockstep(ce, ctx, stores)
+	if c.opts.Compiled {
+		return c.gangLockstep(ctx, stores)
 	}
 	return c.gangSequential(ctx, stores)
 }
@@ -622,7 +616,7 @@ func (c *Controller) gangSequential(ctx context.Context, stores []map[string][]i
 
 // gangLockstep walks the RTG once, evaluating every active lane of each
 // configuration in lockstep on the compiled program.
-func (c *Controller) gangLockstep(ce CycleEngine, ctx context.Context, stores []map[string][]int64) ([]GangLane, error) {
+func (c *Controller) gangLockstep(ctx context.Context, stores []map[string][]int64) ([]GangLane, error) {
 	lanes := len(stores)
 	out := make([]GangLane, lanes)
 	active := make([]bool, lanes)
@@ -648,7 +642,7 @@ func (c *Controller) gangLockstep(ce CycleEngine, ctx context.Context, stores []
 			return out, fmt.Errorf("rtg: %s: canceled before configuration %q: %w",
 				c.design.RTG.Name, cur, ctx.Err())
 		}
-		inst, err := c.cycleInstance(ce, cfg, lanes)
+		inst, err := c.cycleInstance(cfg, lanes)
 		if err != nil {
 			return out, fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
 		}
@@ -682,7 +676,7 @@ func (c *Controller) gangLockstep(ce CycleEngine, ctx context.Context, stores []
 					inst.CopyShared(l, op.Ref, stores[l][op.Ref])
 				}
 			}
-			run := c.laneRunRecord(ce, cfg.ID, inst, l, wall)
+			run := laneRunRecord(cfg.ID, inst, l, wall)
 			out[l].Exec.Runs = append(out[l].Exec.Runs, *run)
 			out[l].Exec.TotalCycles += run.Cycles
 			if !run.Completed {

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/hades"
 	"repro/internal/netlist"
 	"repro/internal/operators"
 	"repro/internal/xmlspec"
@@ -339,8 +338,8 @@ func TestEffectiveOptionsExposed(t *testing.T) {
 	if o.ClockPeriod != want.ClockPeriod || o.MaxCycles != want.MaxCycles || o.MaxConfigs != want.MaxConfigs {
 		t.Fatalf("effective options %+v, want the values passed in", o)
 	}
-	if o.Engine == nil || o.Engine.EngineName() != hades.KernelTwoLevel {
-		t.Fatal("Engine must be defaulted to the twolevel kernel")
+	if o.Compiled {
+		t.Fatal("the event kernel must be the default engine")
 	}
 }
 
@@ -367,37 +366,5 @@ func TestAfterConfigStreamsRuns(t *testing.T) {
 	}
 	if len(streamed) != len(res.Runs) || streamed[0] != "cfg1" || streamed[1] != "cfg2" {
 		t.Fatalf("streamed=%v runs=%d", streamed, len(res.Runs))
-	}
-}
-
-// TestNewSimulatorHookSelectsKernel pins the event path's engine seam:
-// configurations run on simulators from the EventEngine's NewSimulator
-// hook, and run records name the engine, as cycle runs do.
-func TestNewSimulatorHookSelectsKernel(t *testing.T) {
-	d := twoPartitionDesign(4)
-	opts := testOptions()
-	built := 0
-	opts.Engine = &SimulatorEngine{Kernel: "counting", New: func() *hades.Simulator {
-		built++
-		return hades.NewSimulator()
-	}}
-	c, err := NewController(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.LoadMemory("ma", []int64{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if built != len(res.Runs) {
-		t.Fatalf("hook built %d simulators for %d configurations", built, len(res.Runs))
-	}
-	for _, run := range res.Runs {
-		if run.Kernel != "counting" {
-			t.Fatalf("run %s on kernel %q, want the engine name", run.ID, run.Kernel)
-		}
 	}
 }

@@ -446,7 +446,7 @@ func (s *Server) Stats() api.ServerStats {
 	return st
 }
 
-// backendInfos renders the flow registry as wire descriptors, in
+// backendInfos renders the flow backends as wire descriptors, in
 // Backends() order (default first).
 func backendInfos() []api.BackendInfo {
 	infos := flow.Backends()

@@ -12,12 +12,11 @@ import (
 	"repro/internal/xmlspec"
 )
 
-// familyDatapaths compiles every workload family's suite preset and
-// returns its datapaths in RTG configuration order, keyed by preset
-// name.
-func familyDatapaths(tb testing.TB) map[string][]*xmlspec.Datapath {
+// familyDesigns compiles every workload family's suite preset, keyed
+// by preset name.
+func familyDesigns(tb testing.TB) map[string]*xmlspec.Design {
 	tb.Helper()
-	out := map[string][]*xmlspec.Datapath{}
+	out := map[string]*xmlspec.Design{}
 	for _, w := range workloads.All() {
 		for _, p := range w.Presets() {
 			if !p.Suite {
@@ -35,9 +34,20 @@ func familyDatapaths(tb testing.TB) map[string][]*xmlspec.Datapath {
 			if err != nil {
 				tb.Fatal(err)
 			}
-			for _, cfg := range res.Design.RTG.Configurations {
-				out[p.Name] = append(out[p.Name], res.Design.Datapaths[cfg.Datapath])
-			}
+			out[p.Name] = res.Design
+		}
+	}
+	return out
+}
+
+// familyDatapaths returns every suite preset's datapaths in RTG
+// configuration order, keyed by preset name.
+func familyDatapaths(tb testing.TB) map[string][]*xmlspec.Datapath {
+	tb.Helper()
+	out := map[string][]*xmlspec.Datapath{}
+	for name, d := range familyDesigns(tb) {
+		for _, cfg := range d.RTG.Configurations {
+			out[name] = append(out[name], d.Datapaths[cfg.Datapath])
 		}
 	}
 	return out

@@ -5,7 +5,8 @@
 // The public surface is the flow pipeline API re-exported here from
 // internal/flow — typed stages (Source → Compiled → Elaborated →
 // SimResult → Verdict), functional options, streaming observers and a
-// pluggable simulator-backend registry; see docs/FLOW.md for the tour
+// choice of two simulator backends, the hades event kernel and the
+// compiled cycle engine; see docs/FLOW.md for the tour
 // and examples/quickstart for the smallest complete program. The
 // regression-suite automation on top of it lives in internal/core, the
 // benchmark harness in internal/bench; bench_test.go regenerates every
@@ -57,10 +58,7 @@ type (
 	BaseObserver = flow.BaseObserver
 	// StageName identifies a pipeline stage in observer callbacks.
 	StageName = flow.StageName
-	// Backend is one registered simulator implementation: descriptor
-	// plus engine factory.
-	Backend = flow.Backend
-	// BackendInfo is the public descriptor of a registered backend.
+	// BackendInfo is the public descriptor of a simulator backend.
 	BackendInfo = flow.BackendInfo
 	// BackendKind classifies a backend as event-driven or cycle-based.
 	BackendKind = flow.BackendKind
@@ -109,7 +107,7 @@ func WithWorkDir(dir string) Option { return flow.WithWorkDir(dir) }
 // WithArtifacts also emits the dot/java/hds translations.
 func WithArtifacts(emit bool) Option { return flow.WithArtifacts(emit) }
 
-// WithBackend selects the simulator backend by registry name.
+// WithBackend selects the simulator backend by name (see Backends).
 func WithBackend(name string) Option { return flow.WithBackend(name) }
 
 // WithFreshElaboration(true) disables the reconfiguration replay cache,
@@ -129,17 +127,14 @@ func NewProgressObserver(w io.Writer) Observer { return flow.NewProgressObserver
 // <prefix>.<cfg>.vcd, logging each file to log when non-nil.
 func NewVCDObserver(prefix string, log io.Writer) Observer { return flow.NewVCDObserver(prefix, log) }
 
-// RegisterBackend adds a simulator backend to the registry.
-func RegisterBackend(b Backend) error { return flow.RegisterBackend(b) }
-
-// Backends lists the registered backend descriptors, default first.
+// Backends lists the backend descriptors, default first.
 func Backends() []BackendInfo { return flow.Backends() }
 
-// BackendNames lists the registered backend names in Backends() order.
+// BackendNames lists the backend names in Backends() order.
 func BackendNames() []string { return flow.BackendNames() }
 
 // LookupBackend resolves a backend by name ("" means DefaultBackend).
-func LookupBackend(name string) (Backend, error) { return flow.LookupBackend(name) }
+func LookupBackend(name string) (BackendInfo, error) { return flow.LookupBackend(name) }
 
 // The session layer: shared, admission-controlled use of one prepared
 // design. See the internal/flow documentation for details.
