@@ -22,7 +22,9 @@ test:
 # both engines build or reject together, never with a panic, and fuzzed
 # FSM XML must decode, validate and resolve into a table or an error
 # (at the default -fuzzminimizetime a run with an empty fuzz cache sat
-# at 0 execs/s). The checked-in corpora (internal/flow/,
+# at 0 execs/s), and a fuzzed sharded-sweep request body must decode,
+# load and locate its shard to an error or a campaign. The checked-in
+# corpora (internal/flow/,
 # internal/hades/testdata/fuzz/, internal/compiler/testdata/fuzz/ and
 # internal/xmlspec/testdata/fuzz/) also run as part of `make test`.
 fuzz:
@@ -32,6 +34,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateDatapath$$' -fuzztime 20s ./internal/xmlspec/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanBuildsOnBothEngines$$' -fuzztime 20s ./internal/xmlspec/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFSM$$' -fuzztime 20s -fuzzminimizetime 2x ./internal/xmlspec/
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 20s -fuzzminimizetime 2x ./internal/sweep/
 
 # flake mirrors the CI flake step: the timing- and scheduling-sensitive
 # tests, 20 runs each, so a new flake shows before it lands. The chaos

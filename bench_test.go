@@ -225,16 +225,8 @@ func BenchmarkAblationProbeOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			e, err := pipe.ElaborateDesign(design)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for name, words := range tc.Inputs {
-				if err := e.LoadMemory(name, padded(words, tc.ArraySizes[name])); err != nil {
-					b.Fatal(err)
-				}
-			}
-			res, err := pipe.Simulate(e)
+			d := prepareSeeded(b, pipe, design, tc)
+			res, err := d.Simulate()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -249,6 +241,21 @@ func BenchmarkAblationProbeOverhead(b *testing.B) {
 	})
 }
 
+// prepareSeeded prepares a compiled design (elaborating it, as every
+// iteration of the ablations pays) and seeds it with the case's inputs.
+func prepareSeeded(b *testing.B, pipe *flow.Pipeline, design *xmlspec.Design, tc core.TestCase) *flow.PreparedDesign {
+	d, err := pipe.PrepareDesign(design)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for name, words := range tc.Inputs {
+		if err := d.SetSeed(name, words); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return d
+}
+
 // BenchmarkAblationGoldenReference contrasts the two sides of the
 // verification contract on the same workload: the event-driven RTL
 // simulation versus the direct golden-algorithm execution.
@@ -261,16 +268,8 @@ func BenchmarkAblationGoldenReference(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			e, err := pipe.ElaborateDesign(design)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for name, words := range tc.Inputs {
-				if err := e.LoadMemory(name, padded(words, tc.ArraySizes[name])); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if res, err := pipe.Simulate(e); err != nil || !res.Completed {
+			d := prepareSeeded(b, pipe, design, tc)
+			if res, err := d.Simulate(); err != nil || !res.Completed {
 				b.Fatalf("err=%v", err)
 			}
 		}

@@ -113,7 +113,7 @@ func run() error {
 	if !res.Completed {
 		return fmt.Errorf("simulation incomplete (cycle cap %d)", ff.Cycles)
 	}
-	for _, id := range pd.Elaborated().MemoryIDs() {
+	for _, id := range pd.MemoryIDs() {
 		out := filepath.Join(*designDir, id+".out.mem")
 		if err := memfile.Save(out, res.Memories[id], "simulated contents of "+id); err != nil {
 			return err
@@ -178,7 +178,7 @@ func runWorkload(pipe *flow.Pipeline, spec cliutil.WorkloadSpec, outDir string, 
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	for _, id := range pd.Elaborated().MemoryIDs() {
+	for _, id := range pd.MemoryIDs() {
 		out := filepath.Join(outDir, id+".out.mem")
 		if err := memfile.Save(out, res.Memories[id], "simulated contents of "+id); err != nil {
 			return err

@@ -39,7 +39,7 @@ func runBoth(t *testing.T, src, fn string, sizes map[string]int,
 		copy(ref, inputs[name])
 		sw[name] = ref
 	}
-	exec, err := ctl.Execute()
+	exec, err := ctl.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestAutoSplitEndToEnd(t *testing.T) {
 	if err := ctl.LoadMemory("a", []int64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	exec, err := ctl.Execute()
+	exec, err := ctl.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestGeneratedXMLRoundTrips(t *testing.T) {
 	if err := ctl.LoadMemory("a", []int64{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
 		t.Fatal(err)
 	}
-	exec, err := ctl.Execute()
+	exec, err := ctl.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@ type Options struct {
 }
 
 // FlowOptions renders the options as the flow functional options they
-// resolve to; ctx may be nil.
-func (o Options) FlowOptions(ctx context.Context) []flow.Option {
+// resolve to.
+func (o Options) FlowOptions() []flow.Option {
 	fo := []flow.Option{
 		flow.WithWidth(o.Width),
 		flow.WithAutoPartitions(o.AutoPartitions),
@@ -53,9 +53,6 @@ func (o Options) FlowOptions(ctx context.Context) []flow.Option {
 	}
 	if o.MaxCycles > 0 {
 		fo = append(fo, flow.WithMaxCycles(o.MaxCycles))
-	}
-	if ctx != nil {
-		fo = append(fo, flow.WithContext(ctx))
 	}
 	for _, obs := range o.Observers {
 		fo = append(fo, flow.WithObserver(obs))
@@ -161,7 +158,7 @@ func (r *CaseResult) Summary() string {
 // CompileOnly compiles a test case's source to its design without
 // simulating, for tooling and benchmarks that manage execution directly.
 func CompileOnly(tc TestCase, opts Options) (*xmlspec.Design, error) {
-	p, err := flow.New(opts.FlowOptions(nil)...)
+	p, err := flow.New(opts.FlowOptions()...)
 	if err != nil {
 		return nil, err
 	}
@@ -200,13 +197,13 @@ func RunCaseRepeatContext(ctx context.Context, tc TestCase, opts Options, reps i
 	if reps <= 0 {
 		reps = 1
 	}
-	p, err := flow.New(opts.FlowOptions(ctx)...)
+	p, err := flow.New(opts.FlowOptions()...)
 	if err != nil {
 		return nil, err
 	}
 	res := &CaseResult{Name: tc.Name, Mismatches: map[string][]memfile.Mismatch{}, Artifacts: map[string]string{}}
 
-	d, err := p.Prepare(tc.FlowSource())
+	d, err := p.PrepareContext(ctx, tc.FlowSource())
 	if err != nil {
 		return nil, err
 	}
@@ -226,10 +223,11 @@ func RunCaseRepeatContext(ctx context.Context, tc TestCase, opts Options, reps i
 	}
 
 	for rep := 0; rep < reps; rep++ {
-		sim, err := d.Simulate()
+		out, err := d.RunContext(ctx)
 		if err != nil {
 			return nil, err
 		}
+		sim := out.Sim
 		res.Replays = rep + 1
 		for i, run := range sim.Runs {
 			if i < len(res.Partitions) {
@@ -242,15 +240,11 @@ func RunCaseRepeatContext(ctx context.Context, tc TestCase, opts Options, reps i
 		for label, path := range sim.Artifacts {
 			res.Artifacts[label] = path
 		}
-		if !sim.Completed {
+		v := out.Verdict
+		if v == nil {
 			res.Passed = false
 			res.Err = fmt.Errorf("core: %s: simulation incomplete after cycle cap (round %d of %d)", tc.Name, rep+1, reps)
 			return res, nil
-		}
-
-		v, err := p.Verify(c, sim)
-		if err != nil {
-			return nil, err
 		}
 		res.Passed = v.Passed
 		res.Mismatches = v.Mismatches

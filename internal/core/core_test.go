@@ -5,6 +5,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/flow"
 	"repro/internal/workloads"
@@ -262,7 +263,7 @@ func TestSuiteReportsFailuresWithoutAborting(t *testing.T) {
 // single source of truth: core, rtg and cmd/hsim all observe the same
 // ClockPeriod/MaxCycles.
 func TestZeroOptionsObserveFlowDefaults(t *testing.T) {
-	p, err := flow.New(Options{}.FlowOptions(nil)...)
+	p, err := flow.New(Options{}.FlowOptions()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestZeroOptionsObserveFlowDefaults(t *testing.T) {
 		t.Errorf("Backend=%q want %q", cfg.Backend, flow.DefaultBackend)
 	}
 	// Explicit values still pass through.
-	p2, err := flow.New(Options{ClockPeriod: 4, MaxCycles: 123, Backend: "compiled"}.FlowOptions(nil)...)
+	p2, err := flow.New(Options{ClockPeriod: 4, MaxCycles: 123, Backend: "compiled"}.FlowOptions()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,6 +318,41 @@ func TestCaseObserversStream(t *testing.T) {
 	}
 	if !strings.Contains(lines.String(), "configuration") {
 		t.Fatalf("observer saw %q", lines.String())
+	}
+}
+
+// stageRecorder logs each stage boundary as "begin:<stage>" or
+// "end:<stage>".
+type stageRecorder struct {
+	flow.BaseObserver
+	seen []string
+}
+
+func (r *stageRecorder) StageBegin(s flow.StageName, _ string) {
+	r.seen = append(r.seen, "begin:"+string(s))
+}
+
+func (r *stageRecorder) StageEnd(s flow.StageName, _ string, _ error, _ time.Duration) {
+	r.seen = append(r.seen, "end:"+string(s))
+}
+
+// TestRunCaseStageOrder: a case fires the compile, elaborate, simulate
+// and verify stages in that order on every backend, one repeat round
+// adding one simulate and one verify — the spans per-layer timing
+// reads.
+func TestRunCaseStageOrder(t *testing.T) {
+	for _, backend := range flow.BackendNames() {
+		rec := &stageRecorder{}
+		opts := Options{Backend: backend, Observers: []flow.Observer{rec}}
+		if _, err := RunCaseRepeatContext(nil, hammingCase("hamming", 8), opts, 2); err != nil {
+			t.Fatal(err)
+		}
+		want := "begin:compile end:compile begin:elaborate end:elaborate " +
+			"begin:simulate end:simulate begin:verify end:verify " +
+			"begin:simulate end:simulate begin:verify end:verify"
+		if got := strings.Join(rec.seen, " "); got != want {
+			t.Fatalf("%s: stages\n got %s\nwant %s", backend, got, want)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/flow"
 	"repro/internal/workloads"
 )
 
@@ -61,7 +62,16 @@ func TestRunnerDeterministicOrdering(t *testing.T) {
 	}
 }
 
+// TestRunnerTimeoutSurfacesAsFailedCase runs once per backend: the
+// per-case context must reach the event kernel's per-instant poll and
+// the cycle engine's per-edge poll alike.
 func TestRunnerTimeoutSurfacesAsFailedCase(t *testing.T) {
+	for _, backend := range flow.BackendNames() {
+		t.Run(backend, func(t *testing.T) { runnerTimeoutSurfacesAsFailedCase(t, Options{Backend: backend}) })
+	}
+}
+
+func runnerTimeoutSurfacesAsFailedCase(t *testing.T, opts Options) {
 	// The slow FDCT takes seconds uninterrupted; the kernel must notice
 	// the deadline mid-simulation and fail the case promptly.
 	src, sizes, args, inputs := workloads.FDCTCase("slow", 65536, false, 42)
@@ -70,7 +80,7 @@ func TestRunnerTimeoutSurfacesAsFailedCase(t *testing.T) {
 	suite := &Suite{Name: "timeouts", Cases: []TestCase{slow, hammingCase("fast", 8)}}
 
 	start := time.Now()
-	res := (&Runner{Workers: 2, Timeout: 150 * time.Millisecond}).Run(context.Background(), suite, Options{})
+	res := (&Runner{Workers: 2, Timeout: 150 * time.Millisecond}).Run(context.Background(), suite, opts)
 	wall := time.Since(start)
 
 	if res.Passed() {

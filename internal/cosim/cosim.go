@@ -147,16 +147,12 @@ func (s *System) RunHardware(src, funcName string, scalarArgs map[string]int64, 
 	if err != nil {
 		return err
 	}
-	c, err := pipe.Compile(source)
-	if err != nil {
-		return err
-	}
-	e, err := pipe.Elaborate(c)
+	d, err := pipe.Prepare(source)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	res, err := pipe.Simulate(e)
+	res, err := d.Simulate()
 	if err != nil {
 		return err
 	}

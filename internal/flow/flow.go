@@ -7,13 +7,16 @@
 // co-simulation system (internal/cosim) and all the command-line tools
 // — sits on this package instead of hand-wiring the stages. A Pipeline
 // carries one resolved Config built from functional options
-// (WithWidth, WithClock, WithMaxCycles, WithContext, WithWorkDir,
-// WithArtifacts, WithBackend, WithObserver, …); the typed stage values
-// Source → Compiled → Elaborated → SimResult → Verdict make the
-// dataflow explicit; Observers stream stage and per-configuration
-// progress; and WithBackend picks one of the two simulator backends
-// every configuration runs on: the hades event kernel (twolevel, the
-// default) or the compiled cycle engine (compiled).
+// (WithWidth, WithClock, WithMaxCycles, WithWorkDir, WithArtifacts,
+// WithBackend, WithObserver, …); the typed stage values
+// Source → Compiled → PreparedDesign → SimResult → Verdict make the
+// dataflow explicit, and a PreparedDesign is the one runnable form of a
+// design; Observers stream stage and per-configuration progress; and
+// WithBackend picks one of the two simulator backends every
+// configuration runs on: the hades event kernel (twolevel, the default)
+// or the compiled cycle engine (compiled). Cancellation is a per-call
+// context (PrepareContext, SimulateContext, RunContext,
+// SimulateGangContext); a nil one never cancels.
 //
 // This package is also the single source of truth for the flow
 // defaults (DefaultClockPeriod, DefaultMaxCycles, DefaultMaxConfigs):
@@ -62,7 +65,6 @@ type Config struct {
 	// configuration's cached plan (the paper's original flow). See
 	// WithFreshElaboration.
 	FreshElaboration bool
-	Context          context.Context
 	Observers        []Observer
 }
 
@@ -107,10 +109,6 @@ func WithBackend(name string) Option { return func(c *Config) { c.Backend = name
 func WithFreshElaboration(fresh bool) Option {
 	return func(c *Config) { c.FreshElaboration = fresh }
 }
-
-// WithContext threads a cancellation context through every stage; the
-// event kernel polls it once per simulated instant.
-func WithContext(ctx context.Context) Option { return func(c *Config) { c.Context = ctx } }
 
 // WithObserver attaches a streaming observer; repeatable, observers are
 // notified in attachment order.
@@ -158,9 +156,10 @@ func New(opts ...Option) (*Pipeline, error) {
 // Config returns the pipeline's resolved configuration.
 func (p *Pipeline) Config() Config { return p.cfg }
 
-// ctxErr reports a pending cancellation, wrapped with the stage name.
-func (p *Pipeline) ctxErr(stage StageName, name string) error {
-	if ctx := p.cfg.Context; ctx != nil && ctx.Err() != nil {
+// ctxErr reports a pending cancellation of ctx (nil never cancels),
+// wrapped with the stage name.
+func ctxErr(ctx context.Context, stage StageName, name string) error {
+	if ctx != nil && ctx.Err() != nil {
 		return fmt.Errorf("flow: %s %s: %w", stage, name, ctx.Err())
 	}
 	return nil
@@ -175,7 +174,6 @@ func (p *Pipeline) rtgOptions() rtg.Options {
 		MaxCycles:     p.cfg.MaxCycles,
 		MaxConfigs:    p.cfg.MaxConfigs,
 		Compiled:      p.cfg.Backend == BackendCompiled,
-		Context:       p.cfg.Context,
 		DisableReplay: p.cfg.FreshElaboration,
 		Observer: func(cfgID string, el *netlist.Elaboration) {
 			for _, o := range p.cfg.Observers {

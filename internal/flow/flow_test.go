@@ -61,20 +61,16 @@ func TestRTGObservesFlowDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := p.Compile(scaleSource())
+	d, err := p.Prepare(scaleSource())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := p.Elaborate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := e.Controller.Options()
+	o := d.ControllerOptions()
 	if o.ClockPeriod != flow.DefaultClockPeriod || o.MaxCycles != flow.DefaultMaxCycles || o.MaxConfigs != flow.DefaultMaxConfigs {
 		t.Fatalf("controller options %+v diverge from flow defaults", o)
 	}
 	// And rtg itself refuses to default.
-	if _, err := rtg.NewController(c.Design, rtg.Options{}); err == nil {
+	if _, err := rtg.NewController(d.Compiled().Design, rtg.Options{}); err == nil {
 		t.Fatal("rtg must reject unset bounds; flow is the single defaulter")
 	}
 }
@@ -284,11 +280,11 @@ func TestIncompleteSimulationYieldsNoVerdict(t *testing.T) {
 func TestContextCancelsPipeline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p, err := flow.New(flow.WithContext(ctx))
+	p, err := flow.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(scaleSource()); err == nil || !strings.Contains(err.Error(), "context canceled") {
+	if _, err := p.PrepareContext(ctx, scaleSource()); err == nil || !strings.Contains(err.Error(), "context canceled") {
 		t.Fatalf("err=%v, want context cancellation", err)
 	}
 }
@@ -330,14 +326,14 @@ func TestElaborateDesignFromLoadedBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := p.ElaborateDesign(design)
+	d, err := p.PrepareDesign(design)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadMemory("a", src.Inputs["a"]); err != nil {
+	if err := d.SetSeed("a", src.Inputs["a"]); err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Simulate(e)
+	s, err := d.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func loadFuzzDesigns(t testing.TB) []*fuzzDesign {
 	fuzzOnce.Do(func() {
 		add := func(src flow.Source, opts ...flow.Option) {
 			fd := &fuzzDesign{src: src, gang: prepare(t, "compiled", src, opts...), single: prepare(t, "compiled", src, opts...)}
-			fd.mems = fd.gang.Elaborated().MemoryIDs()
+			fd.mems = fd.gang.MemoryIDs()
 			sort.Strings(fd.mems)
 			fuzzDesigns = append(fuzzDesigns, fd)
 		}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/flow"
+	"repro/internal/netlist"
+	"repro/internal/rtg"
 	"repro/internal/workloads"
 )
 
@@ -258,5 +260,59 @@ func TestSimulateGangAllocsPerLane(t *testing.T) {
 	}
 	if large > 16 {
 		t.Fatalf("%.2f allocations per lane and configuration, want at most 16", large)
+	}
+}
+
+// configCounter counts the per-configuration observer callbacks.
+type configCounter struct {
+	flow.BaseObserver
+	elaborated, done int
+}
+
+func (c *configCounter) ConfigElaborated(string, *netlist.Elaboration) { c.elaborated++ }
+func (c *configCounter) ConfigDone(rtg.ConfigRun)                      { c.done++ }
+
+// TestGangStreamsNoConfigCallbacks: observers behave the same on both
+// engines. A gang round streams no ConfigElaborated and no ConfigDone,
+// while Simulate and Run stream one ConfigDone per configuration, and
+// ConfigElaborated on the event kernel, which has a live elaboration
+// to hand out.
+func TestGangStreamsNoConfigCallbacks(t *testing.T) {
+	src := familyGangCase(t, "fdct2", 1).src
+	for _, backend := range flow.BackendNames() {
+		t.Run(backend, func(t *testing.T) {
+			obs := &configCounter{}
+			d := prepare(t, backend, src, flow.WithObserver(obs))
+			if _, err := d.SimulateGang(make([]map[string][]int64, 4)); err != nil {
+				t.Fatal(err)
+			}
+			if obs.elaborated != 0 || obs.done != 0 {
+				t.Fatalf("4-lane gang streamed %d ConfigElaborated and %d ConfigDone, want none",
+					obs.elaborated, obs.done)
+			}
+			wantElaborated := 0
+			if backend != flow.BackendCompiled {
+				wantElaborated = 1
+			}
+			s, err := d.Simulate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			configs := len(s.Runs)
+			if configs < 2 {
+				t.Fatalf("%d configurations; the check needs a multi-configuration design", configs)
+			}
+			if obs.done != configs || obs.elaborated != wantElaborated*configs {
+				t.Fatalf("Simulate streamed %d ConfigDone and %d ConfigElaborated over %d configurations",
+					obs.done, obs.elaborated, configs)
+			}
+			if _, err := d.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if obs.done != 2*configs || obs.elaborated != 2*wantElaborated*configs {
+				t.Fatalf("Simulate+Run streamed %d ConfigDone and %d ConfigElaborated over %d configurations each",
+					obs.done, obs.elaborated, configs)
+			}
+		})
 	}
 }

@@ -3,8 +3,11 @@ package flow
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"sync"
 
+	"repro/internal/memfile"
+	"repro/internal/rtg"
 	"repro/internal/xmlspec"
 )
 
@@ -29,7 +32,7 @@ type PreparedDesign struct {
 	p        *Pipeline
 	name     string
 	compiled *Compiled // nil when prepared from a loaded design
-	elab     *Elaborated
+	ctl      *rtg.Controller
 
 	// mu makes each reseed-and-simulate round atomic; it also guards
 	// seeds and runs.
@@ -42,44 +45,19 @@ type PreparedDesign struct {
 // images as the seeds every subsequent Run starts from. The returned
 // design's Run amortizes the compile and elaborate stages across calls.
 func (p *Pipeline) Prepare(src Source) (*PreparedDesign, error) {
-	c, err := p.Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	e, err := p.Elaborate(c)
-	if err != nil {
-		return nil, err
-	}
-	d := &PreparedDesign{p: p, name: src.name(), compiled: c, elab: e, seeds: map[string][]int64{}}
-	for name, depth := range src.ArraySizes {
-		words := make([]int64, depth)
-		copy(words, src.Inputs[name])
-		d.seeds[name] = words
-	}
-	return d, nil
+	return p.PrepareContext(nil, src)
 }
 
 // PrepareContext is Prepare under a per-call cancellation context: the
-// compile and elaborate stages honor ctx, but the returned design does
-// NOT keep it — later rounds poll the pipeline's configured context (or
-// a RunContext/SimulateContext per-round one), so a session prepared
-// under a request deadline outlives that request. A nil ctx is plain
-// Prepare.
+// compile and elaborate stages honor ctx, and the returned design keeps
+// no reference to it, so a session prepared under a request deadline
+// outlives that request. A nil ctx never cancels.
 func (p *Pipeline) PrepareContext(ctx context.Context, src Source) (*PreparedDesign, error) {
-	if ctx == nil {
-		return p.Prepare(src)
-	}
-	pc := *p
-	pc.cfg.Context = ctx
-	d, err := pc.Prepare(src)
+	c, err := p.compile(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	// Detach the prepare-time context: the controller captured ctx at
-	// elaboration, and it must not cancel future rounds.
-	d.p = p
-	d.elab.Controller.SetContext(p.cfg.Context)
-	return d, nil
+	return p.elaborate(ctx, c.Design, c)
 }
 
 // PrepareDesign builds a reusable prepared design from an
@@ -87,11 +65,43 @@ func (p *Pipeline) PrepareContext(ctx context.Context, src Source) (*PreparedDes
 // Seeds start empty — every shared memory zero-fills on each Run —
 // until SetSeed provides contents.
 func (p *Pipeline) PrepareDesign(design *xmlspec.Design) (*PreparedDesign, error) {
-	e, err := p.ElaborateDesign(design)
+	return p.elaborate(nil, design, nil)
+}
+
+// elaborate is the elaborate stage: it validates the design, builds its
+// reconfiguration controller on the selected backend and, for a design
+// compiled from source (c non-nil), takes the source's input images as
+// the seeds of every shared memory.
+func (p *Pipeline) elaborate(ctx context.Context, design *xmlspec.Design, c *Compiled) (*PreparedDesign, error) {
+	d := &PreparedDesign{p: p, name: design.RTG.Name, compiled: c, seeds: map[string][]int64{}}
+	if c != nil {
+		d.name = c.Source.name()
+	}
+	err := p.observeStage(StageElaborate, d.name, func() error {
+		if err := ctxErr(ctx, StageElaborate, d.name); err != nil {
+			return err
+		}
+		ctl, err := rtg.NewController(design, p.rtgOptions())
+		if err != nil {
+			return err
+		}
+		if c != nil {
+			for name, depth := range c.Source.ArraySizes {
+				words := make([]int64, depth)
+				copy(words, c.Source.Inputs[name])
+				if err := ctl.LoadMemory(name, words); err != nil {
+					return err
+				}
+				d.seeds[name] = words
+			}
+		}
+		d.ctl = ctl
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedDesign{p: p, name: e.Name, elab: e, seeds: map[string][]int64{}}, nil
+	return d, nil
 }
 
 // Name returns the prepared case or design name.
@@ -101,8 +111,8 @@ func (d *PreparedDesign) Name() string { return d.name }
 // loaded design).
 func (d *PreparedDesign) Compiled() *Compiled { return d.compiled }
 
-// Elaborated returns the underlying elaborated design.
-func (d *PreparedDesign) Elaborated() *Elaborated { return d.elab }
+// MemoryIDs lists the design's shared memories.
+func (d *PreparedDesign) MemoryIDs() []string { return d.ctl.MemoryIDs() }
 
 // Runs reports how many simulation rounds this design has served.
 func (d *PreparedDesign) Runs() int {
@@ -114,7 +124,7 @@ func (d *PreparedDesign) Runs() int {
 // SetSeed replaces the contents a shared memory is reseeded with at the
 // start of every Run. The words are copied. Unknown memories error.
 func (d *PreparedDesign) SetSeed(name string, words []int64) error {
-	for _, id := range d.elab.MemoryIDs() {
+	for _, id := range d.ctl.MemoryIDs() {
 		if id == name {
 			d.mu.Lock()
 			d.seeds[name] = append([]int64(nil), words...)
@@ -125,26 +135,71 @@ func (d *PreparedDesign) SetSeed(name string, words []int64) error {
 	return fmt.Errorf("flow: %s: unknown shared memory %q", d.name, name)
 }
 
-// Simulate reseeds every shared memory (seed image, or zeros when none
-// was provided) and walks the RTG once, streaming to the pipeline's
-// observers exactly like Pipeline.Simulate. The round — reseed plus
-// walk — is atomic with respect to concurrent rounds.
+// Simulate is the simulate stage: it reseeds every shared memory (seed
+// image, or zeros when none was provided), walks the RTG once on the
+// selected backend, streaming each configuration to the pipeline's
+// observers, and snapshots the shared memories. An exhausted cycle cap
+// is not an error: Completed reports it. The round — reseed plus walk —
+// is atomic with respect to concurrent rounds.
 func (d *PreparedDesign) Simulate() (*SimResult, error) {
 	return d.SimulateContext(nil)
 }
 
 // SimulateContext is Simulate under a per-round cancellation context
-// (nil falls back to the pipeline's configured context).
+// (nil never cancels).
 func (d *PreparedDesign) SimulateContext(ctx context.Context) (*SimResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, id := range d.elab.MemoryIDs() {
-		if err := d.elab.LoadMemory(id, d.seeds[id]); err != nil {
-			return nil, err
-		}
+	if err := d.reseed(); err != nil {
+		return nil, err
 	}
 	d.runs++
-	return d.p.simulateCtx(d.elab, ctx)
+	out := &SimResult{Memories: map[string][]int64{}, Artifacts: map[string]string{}}
+	err := d.p.observeStage(StageSimulate, d.name, func() error {
+		exec, err := d.ctl.Execute(ctx)
+		if err != nil {
+			return err
+		}
+		out.Runs = exec.Runs
+		out.Completed = exec.Completed
+		out.TotalCycles = exec.TotalCycles
+		for _, run := range exec.Runs {
+			out.Events += run.Events
+			out.SimWall += run.Wall
+		}
+		for _, id := range d.ctl.MemoryIDs() {
+			words, err := d.ctl.Memory(id)
+			if err != nil {
+				return err
+			}
+			out.Memories[id] = words
+		}
+		if dir := d.p.cfg.WorkDir; dir != "" && d.compiled != nil {
+			for name := range d.compiled.Source.ArraySizes {
+				path := filepath.Join(dir, d.name, name+".out.mem")
+				if err := memfile.Save(path, out.Memories[name], "simulated contents of "+name); err != nil {
+					return err
+				}
+				out.Artifacts["mem:"+name] = path
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// reseed loads every shared memory from its seed image (zeros when none
+// was provided). The caller holds d.mu.
+func (d *PreparedDesign) reseed() error {
+	for _, id := range d.ctl.MemoryIDs() {
+		if err := d.ctl.LoadMemory(id, d.seeds[id]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SimulateGang runs one RTG walk for a whole population of lanes: lane
@@ -155,24 +210,23 @@ func (d *PreparedDesign) SimulateContext(ctx context.Context) (*SimResult, error
 // evaluated in lockstep inside one compiled instance per configuration;
 // other backends run the lanes sequentially on the replay cache. The
 // whole gang is one atomic round with respect to concurrent rounds, and
-// observers are not streamed per lane.
+// on either backend it streams no per-configuration observer callbacks
+// (no ConfigElaborated, no ConfigDone).
 func (d *PreparedDesign) SimulateGang(laneSeeds []map[string][]int64) ([]*SimResult, error) {
 	return d.SimulateGangContext(nil, laneSeeds)
 }
 
 // SimulateGangContext is SimulateGang under a per-round cancellation
-// context (nil falls back to the pipeline's configured context).
+// context (nil never cancels).
 func (d *PreparedDesign) SimulateGangContext(ctx context.Context, laneSeeds []map[string][]int64) ([]*SimResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// Reseed the controller store: lanes without an override start from
 	// the prepared seed images, exactly like a plain Simulate round.
-	for _, id := range d.elab.MemoryIDs() {
-		if err := d.elab.LoadMemory(id, d.seeds[id]); err != nil {
-			return nil, err
-		}
+	if err := d.reseed(); err != nil {
+		return nil, err
 	}
-	lanes, err := d.elab.Controller.ExecuteGangContext(ctx, laneSeeds)
+	lanes, err := d.ctl.ExecuteGang(ctx, laneSeeds)
 	if err != nil {
 		return nil, err
 	}
@@ -198,12 +252,13 @@ func (d *PreparedDesign) SimulateGangContext(ctx context.Context, laneSeeds []ma
 // simulate, and — when the design was prepared from source and the
 // simulation completed — verify against the golden interpreter. The
 // Verdict is nil when no verification ran (loaded design or exhausted
-// cycle cap), mirroring Pipeline.Run.
+// cycle cap).
 func (d *PreparedDesign) Run() (*Outcome, error) {
 	return d.RunContext(nil)
 }
 
-// RunContext is Run under a per-round cancellation context. The
+// RunContext is Run under a per-round cancellation context (nil never
+// cancels). The
 // simulate round is serialized with concurrent rounds; the verify stage
 // runs outside the round lock (it touches only this round's results),
 // so one goroutine's verification overlaps the next goroutine's
@@ -217,7 +272,7 @@ func (d *PreparedDesign) RunContext(ctx context.Context) (*Outcome, error) {
 	if d.compiled == nil || !s.Completed {
 		return out, nil
 	}
-	v, err := d.p.Verify(d.compiled, s)
+	v, err := d.p.verify(ctx, d.compiled, s)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package flow_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/flow"
@@ -97,9 +99,9 @@ func TestPreparedDesignSetSeed(t *testing.T) {
 }
 
 // TestSetSeedDuringGangIsRaceFree: SetSeed looks its memory up while
-// another goroutine runs sequential gang rounds on the event kernel,
-// which swap the controller's store in lane by lane. The lookup must
-// not read the store; `go test -race` reports it if it does.
+// another goroutine runs gang rounds on the event kernel, which write
+// lane stores. The lookup must not read the store; `go test -race`
+// reports it if it does.
 func TestSetSeedDuringGangIsRaceFree(t *testing.T) {
 	d := prepare(t, "twolevel", scaleSource())
 	lanes := make([]map[string][]int64, 4)
@@ -182,5 +184,48 @@ func TestWithFreshElaborationDisablesReplay(t *testing.T) {
 		if run.Stats.Resets != 0 || run.Stats.Elaborations != 1 {
 			t.Fatalf("fresh-elaboration pipeline replayed: %+v", run.Stats)
 		}
+	}
+}
+
+// TestCancellationIsPerCall pins cancellation as an argument on both
+// backends: a nil context never cancels, and a canceled one stops
+// PrepareContext, SimulateContext, RunContext and SimulateGangContext
+// with an error that wraps context.Canceled.
+func TestCancellationIsPerCall(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, backend := range flow.BackendNames() {
+		t.Run(backend, func(t *testing.T) {
+			p, err := flow.New(flow.WithBackend(backend))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.PrepareContext(canceled, scaleSource()); !errors.Is(err, context.Canceled) {
+				t.Fatalf("PrepareContext: err=%v, want one wrapping context.Canceled", err)
+			}
+			d, err := p.PrepareContext(nil, scaleSource())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.SimulateContext(canceled); !errors.Is(err, context.Canceled) {
+				t.Fatalf("SimulateContext: err=%v, want one wrapping context.Canceled", err)
+			}
+			if _, err := d.RunContext(canceled); !errors.Is(err, context.Canceled) {
+				t.Fatalf("RunContext: err=%v, want one wrapping context.Canceled", err)
+			}
+			lanes := make([]map[string][]int64, 2)
+			if _, err := d.SimulateGangContext(canceled, lanes); !errors.Is(err, context.Canceled) {
+				t.Fatalf("SimulateGangContext: err=%v, want one wrapping context.Canceled", err)
+			}
+			if s, err := d.SimulateContext(nil); err != nil || !s.Completed {
+				t.Fatalf("SimulateContext(nil): %v", err)
+			}
+			if out, err := d.RunContext(nil); err != nil || !out.OK() {
+				t.Fatalf("RunContext(nil): %v", err)
+			}
+			if sims, err := d.SimulateGangContext(nil, lanes); err != nil || !sims[1].Completed {
+				t.Fatalf("SimulateGangContext(nil): %v", err)
+			}
+		})
 	}
 }

@@ -102,10 +102,12 @@ func (c *Compiled) LoC() ([]PartitionLoC, error) {
 // Compile parses and compiles the source into its design and — when a
 // WorkDir is configured — writes the XML bundle, the initial memory
 // files and (with WithArtifacts) the dot/java/hds translations.
-func (p *Pipeline) Compile(src Source) (*Compiled, error) {
+func (p *Pipeline) Compile(src Source) (*Compiled, error) { return p.compile(nil, src) }
+
+func (p *Pipeline) compile(ctx context.Context, src Source) (*Compiled, error) {
 	out := &Compiled{Source: src, Artifacts: map[string]string{}}
 	err := p.observeStage(StageCompile, src.name(), func() error {
-		if err := p.ctxErr(StageCompile, src.name()); err != nil {
+		if err := ctxErr(ctx, StageCompile, src.name()); err != nil {
 			return err
 		}
 		prog, err := lang.Parse(src.Text)
@@ -163,74 +165,6 @@ func (p *Pipeline) Compile(src Source) (*Compiled, error) {
 	return out, nil
 }
 
-// Elaborated is a design bound to a reconfiguration controller with its
-// shared memories seeded, ready to simulate.
-type Elaborated struct {
-	Name       string
-	Design     *xmlspec.Design
-	Controller *rtg.Controller
-	Compiled   *Compiled // nil when elaborated from a loaded design
-}
-
-// Elaborate validates the compiled design, builds its reconfiguration
-// controller on the selected backend, and seeds every shared memory
-// from the source's inputs.
-func (p *Pipeline) Elaborate(c *Compiled) (*Elaborated, error) {
-	e := &Elaborated{Name: c.Source.name(), Design: c.Design, Compiled: c}
-	err := p.observeStage(StageElaborate, e.Name, func() error {
-		if err := p.ctxErr(StageElaborate, e.Name); err != nil {
-			return err
-		}
-		ctl, err := rtg.NewController(c.Design, p.rtgOptions())
-		if err != nil {
-			return err
-		}
-		for name, depth := range c.Source.ArraySizes {
-			words := make([]int64, depth)
-			copy(words, c.Source.Inputs[name])
-			if err := ctl.LoadMemory(name, words); err != nil {
-				return err
-			}
-		}
-		e.Controller = ctl
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// ElaborateDesign builds a controller for an already-compiled design
-// (e.g. an rtg.xml bundle loaded from disk). Memories start
-// zero-filled; seed them with LoadMemory.
-func (p *Pipeline) ElaborateDesign(design *xmlspec.Design) (*Elaborated, error) {
-	e := &Elaborated{Name: design.RTG.Name, Design: design}
-	err := p.observeStage(StageElaborate, e.Name, func() error {
-		if err := p.ctxErr(StageElaborate, e.Name); err != nil {
-			return err
-		}
-		ctl, err := rtg.NewController(design, p.rtgOptions())
-		if err != nil {
-			return err
-		}
-		e.Controller = ctl
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// LoadMemory seeds a shared memory before simulation.
-func (e *Elaborated) LoadMemory(name string, words []int64) error {
-	return e.Controller.LoadMemory(name, words)
-}
-
-// MemoryIDs lists the design's shared memories.
-func (e *Elaborated) MemoryIDs() []string { return e.Controller.MemoryIDs() }
-
 // SimResult is the outcome of the simulate stage: the per-configuration
 // run records and a snapshot of every shared memory.
 type SimResult struct {
@@ -241,51 +175,6 @@ type SimResult struct {
 	SimWall     time.Duration      // sum of per-configuration simulation walls
 	Memories    map[string][]int64 // final shared-memory contents
 	Artifacts   map[string]string  // mem:<name> output files (when WorkDir set)
-}
-
-// Simulate walks the RTG on the selected backend, streaming each
-// configuration to the observers, and snapshots the shared memories.
-// An exhausted cycle cap is not an error: Completed reports it.
-func (p *Pipeline) Simulate(e *Elaborated) (*SimResult, error) {
-	return p.simulateCtx(e, nil)
-}
-
-func (p *Pipeline) simulateCtx(e *Elaborated, ctx context.Context) (*SimResult, error) {
-	out := &SimResult{Memories: map[string][]int64{}, Artifacts: map[string]string{}}
-	err := p.observeStage(StageSimulate, e.Name, func() error {
-		exec, err := e.Controller.ExecuteContext(ctx)
-		if err != nil {
-			return err
-		}
-		out.Runs = exec.Runs
-		out.Completed = exec.Completed
-		out.TotalCycles = exec.TotalCycles
-		for _, run := range exec.Runs {
-			out.Events += run.Events
-			out.SimWall += run.Wall
-		}
-		for _, id := range e.MemoryIDs() {
-			words, err := e.Controller.Memory(id)
-			if err != nil {
-				return err
-			}
-			out.Memories[id] = words
-		}
-		if p.cfg.WorkDir != "" && e.Compiled != nil {
-			for name := range e.Compiled.Source.ArraySizes {
-				path := filepath.Join(p.cfg.WorkDir, e.Name, name+".out.mem")
-				if err := memfile.Save(path, out.Memories[name], "simulated contents of "+name); err != nil {
-					return err
-				}
-				out.Artifacts["mem:"+name] = path
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Verdict is the outcome of the verify stage: the paper's pass
@@ -313,10 +202,12 @@ func (v *Verdict) Failed() []string {
 // pinned Expected contents are additionally checked against the pin, so
 // a reference model that diverges from the interpreter fails the case
 // instead of silently overriding it.
-func (p *Pipeline) Verify(c *Compiled, s *SimResult) (*Verdict, error) {
+func (p *Pipeline) Verify(c *Compiled, s *SimResult) (*Verdict, error) { return p.verify(nil, c, s) }
+
+func (p *Pipeline) verify(ctx context.Context, c *Compiled, s *SimResult) (*Verdict, error) {
 	v := &Verdict{Mismatches: map[string][]memfile.Mismatch{}}
 	err := p.observeStage(StageVerify, c.Source.name(), func() error {
-		if err := p.ctxErr(StageVerify, c.Source.name()); err != nil {
+		if err := ctxErr(ctx, StageVerify, c.Source.name()); err != nil {
 			return err
 		}
 		ref := map[string][]int64{}

@@ -195,6 +195,13 @@ func TestParseErrors(t *testing.T) {
 		{"void f() { x = " + strings.Repeat("a[", MaxNesting+1) + "0" + strings.Repeat("]", MaxNesting+1) + "; }", "nesting deeper than"},
 		{"void f() { " + strings.Repeat("while (1) { ", MaxNesting+1) + strings.Repeat("} ", MaxNesting+2), "nesting deeper than"},
 		{"void f() { if (1) { } " + strings.Repeat("else if (1) { } ", MaxNesting) + "}", "nesting deeper than"},
+		// A binary chain takes one level per operator: the failing one
+		// is the (MaxNesting+1)th '+', at column 2*(MaxNesting+1)+25.
+		{operatorChain(MaxNesting + 1), fmt.Sprintf("1:%d: nesting deeper than %d", 2*(MaxNesting+1)+25, MaxNesting)},
+		// Levels already open count against the chain, and a chain in an
+		// operand deepens the chain around it.
+		{"void f(int[] a) { a[0] = (" + strings.Repeat("1+", MaxNesting) + "1); }", "nesting deeper than"},
+		{"void f(int[] a) { a[0] = (" + strings.Repeat("1+", MaxNesting/2) + "1)" + strings.Repeat("+1", MaxNesting/2+1) + "; }", "nesting deeper than"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)
@@ -213,11 +220,19 @@ func TestParseErrors(t *testing.T) {
 		"void f() { x = " + strings.Repeat("a[", MaxNesting) + "0" + strings.Repeat("]", MaxNesting) + "; }",
 		"void f() { " + strings.Repeat("while (1) { ", MaxNesting) + strings.Repeat("} ", MaxNesting+1),
 		"void f() { if (1) { } " + strings.Repeat("else if (1) { } ", MaxNesting-1) + "}",
+		operatorChain(MaxNesting),
+		"void f(int[] a) { a[0] = (" + strings.Repeat("1+", MaxNesting-1) + "1); }",
 	} {
 		if _, err := Parse(src); err != nil {
 			t.Errorf("Parse at the nesting bound: %v", err)
 		}
 	}
+}
+
+// operatorChain is a one-statement function whose right-hand side is a
+// chain of n additions; the first '+' is at column 27.
+func operatorChain(n int) string {
+	return "void f(int[] a) { a[0] = 1" + strings.Repeat("+1", n) + "; }"
 }
 
 // nestedParens is a one-statement function whose right-hand side sits

@@ -4,9 +4,11 @@ import "fmt"
 
 // MaxNesting bounds how deeply a MiniJ function may nest: each if,
 // while or for statement (an else-if included), parenthesised or
-// indexed expression and unary operator takes one level. The parser
-// recurses once per level, so the bound keeps deeply nested input from
-// exhausting the goroutine stack, which is fatal rather than an error.
+// indexed expression, unary operator and each binary operator of a
+// chain takes one level. The parser, and every pass that walks the
+// tree after it, recurses once per level, so the bound keeps deeply
+// nested input from exhausting the goroutine stack, which is fatal
+// rather than an error.
 const MaxNesting = 256
 
 // Parser builds the AST by recursive descent.
@@ -14,6 +16,10 @@ type Parser struct {
 	toks  []Token
 	pos   int
 	depth int // open nesting levels; see MaxNesting
+	// height is the operator levels of the expression parsed last: a
+	// binary chain of k operators over leaves is k high, so a chain adds
+	// its height to the levels open around it.
+	height int
 }
 
 // Parse tokenises and parses a MiniJ compilation unit.
@@ -372,20 +378,28 @@ func (p *Parser) parseFor() (Stmt, error) {
 
 func (p *Parser) parseExpr() (Expr, error) { return p.parseLOr() }
 
+// binLevel parses one precedence level's left-associative chain. Each
+// operator puts the chain so far one level deeper, so the chain fails
+// at the operator that takes it past MaxNesting.
 func (p *Parser) binLevel(sub func() (Expr, error), ops map[TokenKind]BinOp) (Expr, error) {
 	l, err := sub()
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	for {
 		op, ok := ops[p.cur().Kind]
 		if !ok {
+			p.height = h
 			return l, nil
 		}
 		pos := p.next().Pos
 		r, err := sub()
 		if err != nil {
 			return nil, err
+		}
+		if h = max(h, p.height) + 1; p.depth+h > MaxNesting {
+			return nil, fmt.Errorf("lang: %s: nesting deeper than %d", pos, MaxNesting)
 		}
 		l = &BinaryExpr{Op: op, L: l, R: r, Pos: pos}
 	}
@@ -460,6 +474,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.height++
 	return &UnaryExpr{Op: op, X: x, Pos: pos}, nil
 }
 
@@ -467,9 +482,11 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch p.cur().Kind {
 	case TokInt:
 		t := p.next()
+		p.height = 0
 		return &IntLit{Val: t.Val, Pos: t.Pos}, nil
 	case TokIdent:
 		t := p.next()
+		p.height = 0
 		if p.cur().Kind == TokLBracket {
 			if err := p.nest(); err != nil {
 				return nil, err
@@ -483,6 +500,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if _, err := p.expect(TokRBracket); err != nil {
 				return nil, err
 			}
+			p.height++
 			return &IndexExpr{Array: t.Lit, Index: idx, Pos: t.Pos}, nil
 		}
 		return &VarRef{Name: t.Lit, Pos: t.Pos}, nil

@@ -99,20 +99,10 @@ type Spec struct {
 	Build func(sim *hades.Simulator, name string, p Params, sigs []*hades.Signal) (hades.Reactor, error)
 }
 
-// Registry maps operator type names to specs.
+// Registry maps operator type names to specs. The one instance is the
+// library DefaultRegistry returns.
 type Registry struct {
 	specs map[string]*Spec
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{specs: make(map[string]*Spec)} }
-
-// Register adds a spec; duplicate type names panic (a programming error).
-func (r *Registry) Register(s *Spec) {
-	if _, dup := r.specs[s.Type]; dup {
-		panic("operators: duplicate spec " + s.Type)
-	}
-	r.specs[s.Type] = s
 }
 
 // Lookup finds a spec by type name.

@@ -521,15 +521,15 @@ func TestRegistryCompleteness(t *testing.T) {
 	}
 }
 
-func TestRegistryDuplicatePanics(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register(&Spec{Type: "x"})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration must panic")
-		}
-	}()
-	reg.Register(&Spec{Type: "x"})
+// TestDefaultRegistryBuiltOnce: every caller shares one table, so a
+// lookup of the library allocates nothing.
+func TestDefaultRegistryBuiltOnce(t *testing.T) {
+	if DefaultRegistry() != DefaultRegistry() {
+		t.Fatal("DefaultRegistry must return the one shared table")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { DefaultRegistry() }); allocs != 0 {
+		t.Fatalf("DefaultRegistry allocates %v objects per call, want 0", allocs)
+	}
 }
 
 func TestAddrWidth(t *testing.T) {

@@ -6,21 +6,26 @@ import (
 	"repro/internal/hades"
 )
 
-// DefaultRegistry builds the full operator library used by the
+// library is the operator table, built once at package init: every
+// DefaultRegistry caller shares it, and nothing can register into it.
+var library = newLibrary()
+
+// DefaultRegistry returns the full operator library used by the
 // infrastructure. It is the one table both engines read: netlist
 // resolves datapath operator types against it and builds each reactor,
 // and the cycle compiler lowers each spec's Kind with the word function
 // the spec carries.
-func DefaultRegistry() *Registry {
-	r := NewRegistry()
-	r.Register(constSpec())
+func DefaultRegistry() *Registry { return library }
+
+func newLibrary() *Registry {
+	specs := []*Spec{constSpec()}
 	for _, u := range []struct {
 		typ string
 		fn  UnaryFn
 	}{
 		{"neg", WordNeg}, {"not", WordNot}, {"lnot", WordLNot}, {"b2i", WordB2I},
 	} {
-		r.Register(unarySpec(u.typ, u.fn))
+		specs = append(specs, unarySpec(u.typ, u.fn))
 	}
 	for _, b := range []struct {
 		typ string
@@ -33,14 +38,13 @@ func DefaultRegistry() *Registry {
 		{"eq", WordEq}, {"ne", WordNe}, {"lt", WordLt},
 		{"le", WordLe}, {"gt", WordGt}, {"ge", WordGe},
 	} {
-		r.Register(binarySpec(b.typ, b.fn))
+		specs = append(specs, binarySpec(b.typ, b.fn))
 	}
-	r.Register(muxSpec())
-	r.Register(regSpec())
-	r.Register(ramSpec())
-	r.Register(romSpec())
-	r.Register(stimSpec())
-	r.Register(sinkSpec())
+	specs = append(specs, muxSpec(), regSpec(), ramSpec(), romSpec(), stimSpec(), sinkSpec())
+	r := &Registry{specs: make(map[string]*Spec, len(specs))}
+	for _, s := range specs {
+		r.specs[s.Type] = s
+	}
 	return r
 }
 

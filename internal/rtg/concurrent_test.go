@@ -2,10 +2,10 @@ package rtg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestConcurrentExecuteIsSerializedAndRaceFree is the replay-cache
@@ -63,7 +63,7 @@ func TestConcurrentExecuteIsSerializedAndRaceFree(t *testing.T) {
 					errs <- err
 					return
 				}
-				res, err := ctl.ExecuteContext(context.Background())
+				res, err := ctl.Execute(context.Background())
 				if err != nil {
 					errs <- err
 					return
@@ -104,7 +104,7 @@ func TestConcurrentExecuteIsSerializedAndRaceFree(t *testing.T) {
 
 	// The replay cache served every walk after the two first-visit
 	// elaborations: lifetime counters on a final serial walk pin it.
-	res, err := ctl.Execute()
+	res, err := ctl.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,35 +119,27 @@ func TestConcurrentExecuteIsSerializedAndRaceFree(t *testing.T) {
 	}
 }
 
-// TestExecuteContextOverridesConfiguredContext pins the per-walk
-// context: a canceled per-walk context stops the walk even though the
-// controller's configured context is live, and a nil per-walk context
-// falls back to the configured one.
-func TestExecuteContextOverridesConfiguredContext(t *testing.T) {
-	opts := testOptions()
-	opts.Context = context.Background()
-	ctl, err := NewController(twoPartitionDesign(4), opts)
+// TestExecuteHonorsPerWalkContext pins the per-walk context: a
+// canceled context stops the walk with an error that wraps
+// context.Canceled, a nil one never cancels, and a live one after a
+// canceled walk runs to completion.
+func TestExecuteHonorsPerWalkContext(t *testing.T) {
+	ctl, err := NewController(twoPartitionDesign(4), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ctl.ExecuteContext(canceled); err == nil {
-		t.Fatal("canceled per-walk context did not stop the walk")
+	if _, err := ctl.Execute(canceled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled per-walk context: err=%v, want one wrapping context.Canceled", err)
 	}
-	if res, err := ctl.ExecuteContext(nil); err != nil || !res.Completed {
-		t.Fatalf("nil per-walk context should fall back to the configured one: %v %+v", err, res)
+	if res, err := ctl.Execute(nil); err != nil || !res.Completed {
+		t.Fatalf("nil per-walk context must not cancel: %v %+v", err, res)
 	}
-
-	// SetContext swaps the fallback: a canceled default now stops
-	// Execute, and a fresh per-walk context overrides it back.
-	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
-	defer cancel2()
-	ctl.SetContext(expired)
-	if _, err := ctl.Execute(); err == nil {
-		t.Fatal("canceled default context did not stop Execute")
+	if res, err := ctl.Execute(context.Background()); err != nil || !res.Completed {
+		t.Fatalf("live per-walk context after a canceled walk: %v %+v", err, res)
 	}
-	if res, err := ctl.ExecuteContext(context.Background()); err != nil || !res.Completed {
-		t.Fatalf("live per-walk context should override the canceled default: %v %+v", err, res)
+	if _, err := ctl.ExecuteGang(canceled, make([]map[string][]int64, 2)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled gang context: err=%v, want one wrapping context.Canceled", err)
 	}
 }

@@ -144,7 +144,7 @@ func TestReplayMatchesFreshElaboration(t *testing.T) {
 				if err := ctl.LoadMemory("ma", in); err != nil {
 					t.Fatal(err)
 				}
-				res, err := ctl.Execute()
+				res, err := ctl.Execute(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -202,7 +202,7 @@ func TestSeedsAreCopiedNotAliased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRes, err := baseCtl.Execute()
+	baseRes, err := baseCtl.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestSeedsAreCopiedNotAliased(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ { // fresh elaboration, then a replay
 		copy(local, vec) // restore the caller-side slice the observer clobbers
-		res, err := c.Execute()
+		res, err := c.Execute(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestDisableReplayRebuildsEveryVisit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
-		res, err := c.Execute()
+		res, err := c.Execute(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,11 +281,11 @@ func TestReplayExecuteAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Execute(); err != nil { // warm caches either way
+		if _, err := c.Execute(nil); err != nil { // warm caches either way
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(10, func() {
-			if _, err := c.Execute(); err != nil {
+			if _, err := c.Execute(nil); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -23,8 +23,8 @@
 //
 // A Controller owns live simulators (the replay cache) and a mutable
 // shared-memory store, so its walks are inherently serial — but the
-// controller itself is safe for concurrent use: Execute, ExecuteContext,
-// LoadMemory, Memory and SetContext all serialize on an internal mutex,
+// controller itself is safe for concurrent use: Execute, ExecuteGang,
+// LoadMemory and Memory all serialize on an internal mutex,
 // so N goroutines hammering one controller interleave whole operations
 // instead of racing (TestConcurrentExecuteIsSerializedAndRaceFree).
 // Callers that need a reseed and a walk to be atomic with respect to
@@ -32,6 +32,16 @@
 // level up — flow.PreparedDesign and flow.Session do. For parallel
 // walks, build one controller per goroutine: the elaboration caches are
 // fully independent.
+//
+// # One walk
+//
+// Execute and ExecuteGang are one walk over a set of lanes: each
+// configuration is one step per engine, the event step running each
+// active lane in turn on the cached elaboration, the cycle step running
+// every active lane in lockstep on one cycle.Instance. Execute walks one
+// lane over the controller's store with the hooks on; ExecuteGang walks
+// lane snapshots with the hooks off. Cancellation is a per-call
+// context; a nil one never cancels.
 package rtg
 
 import (
@@ -60,7 +70,7 @@ type Options struct {
 	MaxConfigs  int        // reconfiguration bound; required
 	// Compiled selects the cycle engine (internal/cycle): each
 	// configuration is levelized once and replayed clock by clock with no
-	// event queue, and ExecuteGangContext runs lanes in lockstep. When
+	// event queue, and ExecuteGang runs lanes in lockstep. When
 	// false, configurations run on the hades event kernel, reported as
 	// the twolevel kernel.
 	Compiled bool
@@ -75,10 +85,6 @@ type Options struct {
 	// progress hook behind flow observers, fired even when a later
 	// configuration fails.
 	AfterConfig func(run ConfigRun)
-	// Context, when set, cancels execution: it is checked before each
-	// configuration and polled by the event kernel once per simulated
-	// instant, so per-case timeouts stop a running simulation promptly.
-	Context context.Context
 	// DisableReplay forces every configuration visit onto a fresh
 	// simulator with a full netlist elaboration from the configuration's
 	// plan — the paper's original reconfiguration cost, less the
@@ -207,16 +213,6 @@ func (c *Controller) Options() Options {
 	return c.opts
 }
 
-// SetContext replaces the controller's default cancellation context —
-// the one Execute polls when no per-walk context is given. Prepare-time
-// contexts must not outlive the preparation (flow.PrepareContext
-// restores the pipeline context here once elaboration is done).
-func (c *Controller) SetContext(ctx context.Context) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.opts.Context = ctx
-}
-
 // LoadMemory seeds a shared memory's contents before execution.
 func (c *Controller) LoadMemory(id string, words []int64) error {
 	c.mu.Lock()
@@ -249,7 +245,7 @@ func (c *Controller) Memory(id string) ([]int64, error) {
 }
 
 // MemoryIDs lists the shared memories. It reads only the immutable
-// design, so it takes no lock: gang walks swap the store while they run.
+// design, so it takes no lock and never waits for a walk.
 func (c *Controller) MemoryIDs() []string {
 	out := make([]string, 0, len(c.design.RTG.Memories))
 	for _, m := range c.design.RTG.Memories {
@@ -258,65 +254,76 @@ func (c *Controller) MemoryIDs() []string {
 	return out
 }
 
-// Execute walks the RTG from its start configuration: each node is
-// reconfigured (elaborated on first visit, reset-and-replayed from the
-// cache after), seeded with the shared store, run until its FSM
-// completes, and its shared memory contents written back to the store.
-// Execute may be called repeatedly; reseed inputs with LoadMemory
-// between runs. It polls the controller's configured context; use
-// ExecuteContext for a per-walk one.
-func (c *Controller) Execute() (*ExecResult, error) {
-	return c.ExecuteContext(nil)
-}
-
-// ExecuteContext is Execute under a per-walk cancellation context: when
-// ctx is non-nil it overrides the controller's configured context for
-// this walk only — the session shape, where one long-lived controller
-// serves requests that each carry their own deadline. A nil ctx falls
-// back to the configured context.
-func (c *Controller) ExecuteContext(ctx context.Context) (*ExecResult, error) {
+// Execute walks the RTG from its start configuration over the
+// controller's own store: each node is reconfigured (elaborated on first
+// visit, reset-and-replayed from the cache after), seeded with the
+// shared store, run until its FSM completes, and its shared memory
+// contents written back to the store. The Observer and AfterConfig
+// hooks fire for every configuration. Execute may be called
+// repeatedly; reseed inputs with LoadMemory between runs. ctx cancels
+// the walk; nil never cancels.
+func (c *Controller) Execute(ctx context.Context) (*ExecResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ctx == nil {
-		ctx = c.opts.Context
-	}
-	return c.walkLocked(ctx)
+	lanes := []GangLane{{Exec: ExecResult{Completed: true}, Memories: c.store}}
+	err := c.walk(ctx, lanes, true)
+	return &lanes[0].Exec, err
 }
 
-// walkLocked performs one full RTG walk against the current store. The
-// caller holds c.mu and has already resolved the effective context.
-func (c *Controller) walkLocked(ctx context.Context) (*ExecResult, error) {
-	res := &ExecResult{Completed: true}
-	cur := c.design.RTG.Start
-	for steps := 0; cur != ""; steps++ {
+// walk is the one RTG walk: it steps every active lane through each
+// configuration in turn, on the event kernel or the cycle engine, until
+// the RTG ends or no lane is left running. A lane is active while its
+// Exec.Completed holds; hooks turns the Observer/AfterConfig hooks on.
+// The caller holds c.mu.
+func (c *Controller) walk(ctx context.Context, lanes []GangLane, hooks bool) error {
+	var interrupt func() bool
+	if ctx != nil {
+		interrupt = func() bool { return ctx.Err() != nil }
+	}
+	for cur, steps := c.design.RTG.Start, 0; cur != ""; cur, steps = c.design.RTG.Successor(cur), steps+1 {
 		if steps >= c.opts.MaxConfigs {
-			return res, fmt.Errorf("rtg: %s: reconfiguration bound %d exceeded (cycle in RTG?)",
+			return fmt.Errorf("rtg: %s: reconfiguration bound %d exceeded (cycle in RTG?)",
 				c.design.RTG.Name, c.opts.MaxConfigs)
 		}
 		cfg, ok := c.design.RTG.FindConfiguration(cur)
 		if !ok {
-			return res, fmt.Errorf("rtg: unknown configuration %q", cur)
+			return fmt.Errorf("rtg: unknown configuration %q", cur)
 		}
 		if ctx != nil && ctx.Err() != nil {
-			return res, fmt.Errorf("rtg: %s: canceled before configuration %q: %w",
+			return fmt.Errorf("rtg: %s: canceled before configuration %q: %w",
 				c.design.RTG.Name, cur, ctx.Err())
 		}
-		run, err := c.runConfiguration(cfg, ctx)
+		var err error
+		if c.opts.Compiled {
+			err = c.cycleStep(cfg, lanes, interrupt, hooks)
+		} else {
+			err = c.eventStep(cfg, lanes, interrupt, hooks)
+		}
 		if err != nil {
-			return res, err
+			return err
 		}
-		res.Runs = append(res.Runs, *run)
-		if c.opts.AfterConfig != nil {
-			c.opts.AfterConfig(*run)
+		running := false
+		for l := range lanes {
+			running = running || lanes[l].Exec.Completed
 		}
-		res.TotalCycles += run.Cycles
-		if !run.Completed {
-			res.Completed = false
-			return res, nil
+		if !running {
+			return nil
 		}
-		cur = c.design.RTG.Successor(cur)
 	}
-	return res, nil
+	return nil
+}
+
+// record appends one configuration's run to a lane's walk; a run that
+// missed its cycle cap stops the lane.
+func (c *Controller) record(lane *GangLane, run ConfigRun, hooks bool) {
+	lane.Exec.Runs = append(lane.Exec.Runs, run)
+	if hooks && c.opts.AfterConfig != nil {
+		c.opts.AfterConfig(run)
+	}
+	lane.Exec.TotalCycles += run.Cycles
+	if !run.Completed {
+		lane.Exec.Completed = false
+	}
 }
 
 // seedCopy copies words into a reused per-(configuration, operator)
@@ -372,82 +379,86 @@ func (c *Controller) plan(cfg *xmlspec.Configuration) (*netlist.Plan, error) {
 	return p, nil
 }
 
-func (c *Controller) runConfiguration(cfg *xmlspec.Configuration, ctx context.Context) (*ConfigRun, error) {
-	if c.opts.Compiled {
-		return c.runConfigurationCycle(cfg, ctx)
+// elaboration returns a configuration's live elaboration seeded with
+// init: the cached one reset and replayed, or — at the first visit, or
+// on every visit with replay off — a fresh build from the plan.
+func (c *Controller) elaboration(cfg *xmlspec.Configuration, init map[string][]int64) (*netlist.Elaboration, error) {
+	if el := c.cache[cfg.ID]; el != nil {
+		el.Reset(init)
+		return el, nil
 	}
-	init := map[string][]int64{}
-	if err := c.configInit(cfg, c.store, init); err != nil {
+	plan, err := c.plan(cfg)
+	if err != nil {
 		return nil, err
 	}
-
-	// The reconfiguration: a cached configuration is reset and replayed
-	// on its existing simulator; otherwise the fabric is built fresh —
-	// and remembered, so the next visit of this node replays.
-	el := c.cache[cfg.ID]
-	if el != nil {
-		el.Reset(init)
-	} else {
-		plan, err := c.plan(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
-		}
-		sim := hades.NewSimulator()
-		clk := sim.NewSignal(cfg.ID+".clk", 1)
-		el, err = netlist.Elaborate(sim, clk, plan, init)
-		if err != nil {
-			return nil, fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
-		}
-		if c.cache != nil {
-			c.cache[cfg.ID] = el
-		}
-	}
-	sim := el.Sim
-	// Install (or clear) the interrupt hook for this walk's context: a
-	// cached simulator may carry a hook from an earlier walk's context.
-	if ctx != nil {
-		sim.Interrupt = func() bool { return ctx.Err() != nil }
-	} else {
-		sim.Interrupt = nil
-	}
-	if c.opts.Observer != nil {
-		c.opts.Observer(cfg.ID, el)
-	}
-	start := time.Now()
-	rr, err := el.RunToCompletion(c.opts.ClockPeriod, c.opts.MaxCycles)
+	sim := hades.NewSimulator()
+	el, err := netlist.Elaborate(sim, sim.NewSignal(cfg.ID+".clk", 1), plan, init)
 	if err != nil {
-		return nil, fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
+		return nil, err
 	}
-	wall := time.Since(start)
+	if c.cache != nil {
+		c.cache[cfg.ID] = el
+	}
+	return el, nil
+}
 
-	run := &ConfigRun{
-		ID:         cfg.ID,
-		Cycles:     rr.Cycles,
-		EndTime:    rr.EndTime,
-		Completed:  rr.Completed,
-		FinalState: rr.FinalState,
-		Events:     sim.Stats().Events,
-		Stats:      sim.Stats(),
-		Kernel:     hades.KernelTwoLevel,
-		Wall:       wall,
-		Sinks:      map[string][]int64{},
-	}
-	// Write back shared memories (the fabric is about to be
-	// reconfigured; only the SRAM contents survive) straight into the
-	// store's buffers, and copy the sink recordings, whose buffers the
-	// next replay round reuses.
-	ops := el.Plan().Ops()
-	for i, comp := range el.Components() {
-		switch x := comp.(type) {
-		case *operators.RAM:
-			if ref := ops[i].Ref; ref != "" {
-				x.CopyContents(c.store[ref])
-			}
-		case *operators.Sink:
-			run.Sinks[ops[i].ID] = append([]int64(nil), x.Recorded()...)
+// eventStep runs one configuration on the event kernel for each active
+// lane in turn, writing its shared memories back to the lane's store.
+func (c *Controller) eventStep(cfg *xmlspec.Configuration, lanes []GangLane, interrupt func() bool, hooks bool) error {
+	for l := range lanes {
+		lane := &lanes[l]
+		if !lane.Exec.Completed {
+			continue
 		}
+		if err := c.configInit(cfg, lane.Memories, c.laneInit); err != nil {
+			return err
+		}
+		el, err := c.elaboration(cfg, c.laneInit)
+		if err != nil {
+			return fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
+		}
+		sim := el.Sim
+		// A cached simulator may carry an earlier walk's hook.
+		sim.Interrupt = interrupt
+		if hooks && c.opts.Observer != nil {
+			c.opts.Observer(cfg.ID, el)
+		}
+		start := time.Now()
+		rr, err := el.RunToCompletion(c.opts.ClockPeriod, c.opts.MaxCycles)
+		if err != nil {
+			return fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
+		}
+		wall := time.Since(start)
+		run := ConfigRun{
+			ID:         cfg.ID,
+			Cycles:     rr.Cycles,
+			EndTime:    rr.EndTime,
+			Completed:  rr.Completed,
+			FinalState: rr.FinalState,
+			Events:     sim.Stats().Events,
+			Stats:      sim.Stats(),
+			Kernel:     hades.KernelTwoLevel,
+			Wall:       wall,
+			Sinks:      map[string][]int64{},
+		}
+		// Write back shared memories (the fabric is about to be
+		// reconfigured; only the SRAM contents survive) straight into the
+		// lane store's buffers, and copy the sink recordings, whose
+		// buffers the next replay round reuses.
+		ops := el.Plan().Ops()
+		for i, comp := range el.Components() {
+			switch x := comp.(type) {
+			case *operators.RAM:
+				if ref := ops[i].Ref; ref != "" {
+					x.CopyContents(lane.Memories[ref])
+				}
+			case *operators.Sink:
+				run.Sinks[ops[i].ID] = append([]int64(nil), x.Recorded()...)
+			}
+		}
+		c.record(lane, run, hooks)
 	}
-	return run, nil
+	return nil
 }
 
 // cycleInstance resolves (and on the replay path caches) the compiled
@@ -479,41 +490,50 @@ func (c *Controller) cycleInstance(cfg *xmlspec.Configuration, lanes int) (*cycl
 	return inst, nil
 }
 
-// runConfigurationCycle is runConfiguration on the cycle engine:
-// compile (or fetch) the levelized program, reset a single lane from the
-// store, and execute clock-by-clock with no event queue.
-func (c *Controller) runConfigurationCycle(cfg *xmlspec.Configuration, ctx context.Context) (*ConfigRun, error) {
-	inst, err := c.cycleInstance(cfg, 1)
+// cycleStep runs one configuration on the cycle engine for every active
+// lane in lockstep: each lane is reset from its store into one
+// instance for the lane count, the instance runs clock by clock with no
+// event queue, and each lane's shared memories are written back.
+func (c *Controller) cycleStep(cfg *xmlspec.Configuration, lanes []GangLane, interrupt func() bool, hooks bool) error {
+	inst, err := c.cycleInstance(cfg, len(lanes))
 	if err != nil {
-		return nil, fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
+		return fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
 	}
-	if err := c.configInit(cfg, c.store, c.laneInit); err != nil {
-		return nil, err
-	}
-	inst.Reset(0, c.laneInit)
-	var interrupt func() bool
-	if ctx != nil {
-		interrupt = func() bool { return ctx.Err() != nil }
+	running := 0
+	for l := range lanes {
+		if !lanes[l].Exec.Completed {
+			continue
+		}
+		if err := c.configInit(cfg, lanes[l].Memories, c.laneInit); err != nil {
+			return err
+		}
+		inst.Reset(l, c.laneInit)
+		running++
 	}
 	start := time.Now()
 	if err := inst.Run(c.opts.ClockPeriod, c.opts.MaxCycles, interrupt); err != nil {
-		return nil, fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
+		return fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
 	}
-	wall := time.Since(start)
+	wall := time.Since(start) / time.Duration(running)
 	dp := c.design.Datapaths[cfg.Datapath]
-	for i := range dp.Operators {
-		op := &dp.Operators[i]
-		if op.Ref != "" {
-			inst.CopyShared(0, op.Ref, c.store[op.Ref])
+	for l := range lanes {
+		if !lanes[l].Exec.Completed {
+			continue
 		}
+		for i := range dp.Operators {
+			if ref := dp.Operators[i].Ref; ref != "" {
+				inst.CopyShared(l, ref, lanes[l].Memories[ref])
+			}
+		}
+		c.record(&lanes[l], laneRunRecord(cfg.ID, inst, l, wall), hooks)
 	}
-	return laneRunRecord(cfg.ID, inst, 0, wall), nil
+	return nil
 }
 
 // laneRunRecord converts one lane's results into a ConfigRun record.
-func laneRunRecord(cfgID string, inst *cycle.Instance, lane int, wall time.Duration) *ConfigRun {
+func laneRunRecord(cfgID string, inst *cycle.Instance, lane int, wall time.Duration) ConfigRun {
 	lr := inst.Result(lane)
-	run := &ConfigRun{
+	run := ConfigRun{
 		ID:         cfgID,
 		Cycles:     lr.Cycles,
 		EndTime:    lr.EndTime,
@@ -539,35 +559,31 @@ type GangLane struct {
 	Memories map[string][]int64
 }
 
-// ExecuteGangContext walks the RTG once for a whole population of
-// lanes. Each lane starts from a private snapshot of the current shared
-// store, overlaid with its laneSeeds entry (keyed by shared-memory id;
-// a seeded memory is loaded LoadMemory-style, missing ids keep the
-// store contents; a nil map keeps the store as-is).
+// ExecuteGang walks the RTG once for a whole population of lanes, the
+// same walk as Execute with the Observer/AfterConfig hooks off. Each
+// lane starts from a private snapshot of the current shared store,
+// overlaid with its laneSeeds entry (keyed by shared-memory id; a
+// seeded memory is loaded LoadMemory-style, missing ids keep the store
+// contents; a nil map keeps the store as-is). Gang lanes never touch
+// the controller's own store.
 //
-// On the cycle engine the lanes execute in lockstep: every
-// configuration is compiled once, instantiated for the lane count, and
-// evaluated struct-of-arrays — the walk and the per-node bookkeeping
-// amortize over the population. The event kernel falls back to one
-// sequential walk per lane (sharing the replay cache), which is the
-// baseline gang benchmarks compare against. Per-configuration AfterConfig/Observer
-// hooks do not fire during gang walks.
+// On the cycle engine each configuration runs every active lane in
+// lockstep on one compiled instance, so the walk and the per-node
+// bookkeeping amortize over the population; the event kernel runs the
+// lanes one after another on the replay cache, the baseline gang
+// benchmarks compare against.
 //
 // A lane whose configuration misses the cycle cap stops walking
 // (Exec.Completed false) without affecting the other lanes; hard errors
-// abort the whole gang.
-func (c *Controller) ExecuteGangContext(ctx context.Context, laneSeeds []map[string][]int64) ([]GangLane, error) {
+// abort the whole gang. ctx cancels the walk; nil never cancels.
+func (c *Controller) ExecuteGang(ctx context.Context, laneSeeds []map[string][]int64) ([]GangLane, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ctx == nil {
-		ctx = c.opts.Context
-	}
-	lanes := len(laneSeeds)
-	if lanes == 0 {
+	if len(laneSeeds) == 0 {
 		return nil, fmt.Errorf("rtg: %s: gang execution needs at least one lane", c.design.RTG.Name)
 	}
-	stores := make([]map[string][]int64, lanes)
-	for l := range stores {
+	lanes := make([]GangLane, len(laneSeeds))
+	for l := range lanes {
 		for id := range laneSeeds[l] {
 			if _, ok := c.store[id]; !ok {
 				return nil, fmt.Errorf("rtg: gang lane %d: unknown shared memory %q", l, id)
@@ -577,114 +593,14 @@ func (c *Controller) ExecuteGangContext(ctx context.Context, laneSeeds []map[str
 		for id, words := range c.store {
 			buf := make([]int64, len(words))
 			if seed, ok := laneSeeds[l][id]; ok {
-				for i := range buf {
-					if i < len(seed) {
-						buf[i] = seed[i]
-					}
-				}
+				copy(buf, seed)
 			} else {
 				copy(buf, words)
 			}
 			st[id] = buf
 		}
-		stores[l] = st
+		lanes[l] = GangLane{Exec: ExecResult{Completed: true}, Memories: st}
 	}
-	if c.opts.Compiled {
-		return c.gangLockstep(ctx, stores)
-	}
-	return c.gangSequential(ctx, stores)
-}
-
-// gangSequential runs one full walk per lane on the event engine,
-// swapping the lane's private store in for the walk. The replay cache
-// is shared across lanes — each configuration elaborates at most once
-// for the whole gang.
-func (c *Controller) gangSequential(ctx context.Context, stores []map[string][]int64) ([]GangLane, error) {
-	out := make([]GangLane, len(stores))
-	saved := c.store
-	defer func() { c.store = saved }()
-	for l := range stores {
-		c.store = stores[l]
-		res, err := c.walkLocked(ctx)
-		if err != nil {
-			return out, fmt.Errorf("rtg: gang lane %d: %w", l, err)
-		}
-		out[l] = GangLane{Exec: *res, Memories: stores[l]}
-	}
-	return out, nil
-}
-
-// gangLockstep walks the RTG once, evaluating every active lane of each
-// configuration in lockstep on the compiled program.
-func (c *Controller) gangLockstep(ctx context.Context, stores []map[string][]int64) ([]GangLane, error) {
-	lanes := len(stores)
-	out := make([]GangLane, lanes)
-	active := make([]bool, lanes)
-	for l := range out {
-		out[l] = GangLane{Exec: ExecResult{Completed: true}, Memories: stores[l]}
-		active[l] = true
-	}
-	var interrupt func() bool
-	if ctx != nil {
-		interrupt = func() bool { return ctx.Err() != nil }
-	}
-	cur := c.design.RTG.Start
-	for steps := 0; cur != ""; steps++ {
-		if steps >= c.opts.MaxConfigs {
-			return out, fmt.Errorf("rtg: %s: reconfiguration bound %d exceeded (cycle in RTG?)",
-				c.design.RTG.Name, c.opts.MaxConfigs)
-		}
-		cfg, ok := c.design.RTG.FindConfiguration(cur)
-		if !ok {
-			return out, fmt.Errorf("rtg: unknown configuration %q", cur)
-		}
-		if ctx != nil && ctx.Err() != nil {
-			return out, fmt.Errorf("rtg: %s: canceled before configuration %q: %w",
-				c.design.RTG.Name, cur, ctx.Err())
-		}
-		inst, err := c.cycleInstance(cfg, lanes)
-		if err != nil {
-			return out, fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
-		}
-		running := 0
-		for l := range active {
-			if !active[l] {
-				continue
-			}
-			if err := c.configInit(cfg, stores[l], c.laneInit); err != nil {
-				return out, err
-			}
-			inst.Reset(l, c.laneInit)
-			running++
-		}
-		if running == 0 {
-			break
-		}
-		start := time.Now()
-		if err := inst.Run(c.opts.ClockPeriod, c.opts.MaxCycles, interrupt); err != nil {
-			return out, fmt.Errorf("rtg: configuration %q: %w", cfg.ID, err)
-		}
-		wall := time.Since(start) / time.Duration(running)
-		dp := c.design.Datapaths[cfg.Datapath]
-		for l := range active {
-			if !active[l] {
-				continue
-			}
-			for i := range dp.Operators {
-				op := &dp.Operators[i]
-				if op.Ref != "" {
-					inst.CopyShared(l, op.Ref, stores[l][op.Ref])
-				}
-			}
-			run := laneRunRecord(cfg.ID, inst, l, wall)
-			out[l].Exec.Runs = append(out[l].Exec.Runs, *run)
-			out[l].Exec.TotalCycles += run.Cycles
-			if !run.Completed {
-				out[l].Exec.Completed = false
-				active[l] = false
-			}
-		}
-		cur = c.design.RTG.Successor(cur)
-	}
-	return out, nil
+	err := c.walk(ctx, lanes, false)
+	return lanes, err
 }

@@ -109,7 +109,7 @@ func TestTwoPartitionPipeline(t *testing.T) {
 	if err := c.LoadMemory("ma", in); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Execute()
+	res, err := c.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +157,14 @@ func TestSharedMemoryPersistsOnlyThroughStore(t *testing.T) {
 	if err := c.LoadMemory("ma", []int64{10, 20, 30, 40}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Execute(); err != nil {
+	if _, err := c.Execute(nil); err != nil {
 		t.Fatal(err)
 	}
 	first, _ := c.Memory("mc")
 	if err := c.LoadMemory("ma", []int64{1, 1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Execute(); err != nil {
+	if _, err := c.Execute(nil); err != nil {
 		t.Fatal(err)
 	}
 	second, _ := c.Memory("mc")
@@ -219,7 +219,7 @@ func TestIncompleteRunReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Execute()
+	res, err := c.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestRTGCycleBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Execute()
+	_, err = c.Execute(nil)
 	if err == nil || !strings.Contains(err.Error(), "reconfiguration bound") {
 		t.Fatalf("err=%v", err)
 	}
@@ -260,7 +260,7 @@ func TestObserverHookSeesEveryConfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Execute(); err != nil {
+	if _, err := c.Execute(nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 2 || seen[0] != "cfg1" || seen[1] != "cfg2" {
@@ -360,7 +360,7 @@ func TestAfterConfigStreamsRuns(t *testing.T) {
 	if err := c.LoadMemory("ma", []int64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Execute()
+	res, err := c.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // DATE 2005) as a Go library.
 //
 // The public surface is the flow pipeline API re-exported here from
-// internal/flow — typed stages (Source → Compiled → Elaborated →
+// internal/flow — typed stages (Source → Compiled → PreparedDesign →
 // SimResult → Verdict), functional options, streaming observers and a
 // choice of two simulator backends, the hades event kernel and the
 // compiled cycle engine; see docs/FLOW.md for the tour
@@ -40,8 +40,6 @@ type (
 	Source = flow.Source
 	// Compiled is the compile stage's typed result.
 	Compiled = flow.Compiled
-	// Elaborated is a design bound to a seeded reconfiguration controller.
-	Elaborated = flow.Elaborated
 	// PreparedDesign is a compiled-and-elaborated design reused across
 	// Run calls: repeat runs reset and replay the cached configuration
 	// graphs instead of re-elaborating (see Pipeline.Prepare).
@@ -113,9 +111,6 @@ func WithBackend(name string) Option { return flow.WithBackend(name) }
 // WithFreshElaboration(true) disables the reconfiguration replay cache,
 // rebuilding every configuration per visit (for A/B measurement).
 func WithFreshElaboration(fresh bool) Option { return flow.WithFreshElaboration(fresh) }
-
-// WithContext threads a cancellation context through every stage.
-func WithContext(ctx context.Context) Option { return flow.WithContext(ctx) }
 
 // WithObserver attaches a streaming observer (repeatable).
 func WithObserver(o Observer) Option { return flow.WithObserver(o) }
