@@ -335,10 +335,11 @@ func TestReplayBeatsFreshReconfiguration(t *testing.T) {
 // two backends' timed rounds therefore alternate, ten of each, and each
 // backend keeps its best: a load that starts or stops mid-test falls on
 // both sides instead of on whichever backend is timed second. Measured
-// that way during twenty full `go test ./...` runs on a 2-vCPU x86-64
-// host, the ratio read 2.6-3.5x on gang-newton and 1.75-3.0x on
-// gang-erasure; the compiled gang's own floors are the
-// bench/baseline/compiled gang scenarios.
+// that way over ten runs on a 2-vCPU x86-64 host, the ratio read
+// 3.5-5.6x on gang-newton and 3.8-4.2x on gang-erasure, since the
+// compiled engine settles only the nodes with a changed input; the
+// compiled gang's own floors are the bench/baseline/compiled gang
+// scenarios.
 func TestCompiledGangBeatsSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -9,7 +9,9 @@
 // slot values, publish, and settle the combinational network in level
 // order — which reproduces the event kernel's signal values at every
 // rising clock edge (the cross-engine property tests pin this) with no
-// event queue at all.
+// event queue at all. Settling evaluates only the nodes with a changed
+// input: a slot that changes marks the nodes reading it, and one sweep
+// over the marks in level order reaches the fixpoint.
 //
 // A compiled Program is immutable and can be instantiated for N lanes:
 // gang simulation runs N independently seeded copies of the same
@@ -20,6 +22,7 @@
 package cycle
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -32,6 +35,11 @@ import (
 // Kernel names the compiled engine in run records and in the backend
 // catalog, as hades.KernelTwoLevel names the event kernel.
 const Kernel = "compiled"
+
+// ErrCombinationalLoop is wrapped by the error Compile returns when the
+// combinational nodes feed each other in a cycle; the error names the
+// slots on the loop.
+var ErrCombinationalLoop = errors.New("combinational loop")
 
 // slotInfo describes one value slot — the compiled counterpart of a
 // hades.Signal. The plan's slots come first, in plan order and under
@@ -82,6 +90,18 @@ type combNode struct {
 	mem      int // combMemRead: memory index
 }
 
+// reads appends the slots a node reads to buf: a mux's inputs, then its
+// select. A node reading one slot twice lists it twice.
+func (n *combNode) reads(buf []int) []int {
+	switch n.kind {
+	case combUnary, combMemRead:
+		return append(buf, n.a)
+	case combBinary:
+		return append(buf, n.a, n.b)
+	}
+	return append(append(buf, n.ins...), n.sel)
+}
+
 // regNode is an edge-triggered register; en/rst are -1 when unconnected.
 type regNode struct {
 	id      string
@@ -91,11 +111,12 @@ type regNode struct {
 }
 
 // ramNode is a RAM's clocked port set; its read path is additionally a
-// combMemRead node on the same dout slot.
+// combMemRead node on the same dout slot, comb[rd].
 type ramNode struct {
 	id                  string
 	mem                 int
 	addr, din, we, dout int
+	rd                  int32
 }
 
 // memSpec is the backing storage of one ram/rom instance. init is the
@@ -122,19 +143,25 @@ type sinkNode struct {
 	in, en int // en -1: sample every edge
 }
 
-// fsmState precomputes one state's Moore outputs over the declared
-// output order (unassigned outputs are 0, as fsmsim drives them), each
-// masked to its control slot.
+// fsmState is one state of the bound FSM; its transition k is
+// transition tr0+k of the program's flat per-transition tables.
 type fsmState struct {
 	name  string
 	final bool
-	outs  []uint64
 	trans []fsmsim.Transition
+	tr0   int32
 }
 
 type constSet struct {
 	slot int
 	val  int64
+}
+
+// ctlPut is one control output a transition changes: its slot and the
+// target state's value, masked to the slot width.
+type ctlPut struct {
+	slot int
+	val  uint64
 }
 
 // Program is a compiled configuration: the slot table, the sequential
@@ -154,11 +181,21 @@ type Program struct {
 	stims  []stimNode
 	sinks  []sinkNode
 
+	// readAt/readers index the comb nodes reading each slot, by
+	// position in comb: slot s is read by readers[readAt[s]:readAt[s+1]].
+	readAt  []int32
+	readers []int32
+
 	states   []fsmState
 	initial  int
-	ctlSlots []int // per declared FSM output, in declaration order
-	inSlots  []int // per declared FSM input: the status slot its guards read
-	done     int   // ctl slot of the "done" output, -1 when undeclared
+	initOuts []uint64 // the initial state's Moore outputs, per ctlSlots entry
+	ctlSlots []int    // per declared FSM output, in declaration order
+	inSlots  []int    // per declared FSM input: the status slot its guards read
+	done     int      // ctl slot of the "done" output, -1 when undeclared
+	// Transition t changes the outputs ctlDiff[diffAt[t]:diffAt[t+1]],
+	// those whose value differs between its source and target states.
+	ctlDiff []ctlPut
+	diffAt  []int32
 
 	// perCycle is every element's reaction count on one clock edge: each
 	// register, RAM, stimulus, sink and comb node plus the FSM reacts
@@ -183,7 +220,9 @@ func (p *Program) SlotNames() []string {
 // library declares lowers to its node, reading the word function its
 // spec carries, and the FSM binds through the plan's state table.
 func Compile(pl *netlist.Plan) (*Program, error) {
-	p := &Program{name: pl.Name(), gnd: -1, done: pl.DoneSlot()}
+	ops := pl.Ops()
+	p := &Program{name: pl.Name(), gnd: -1, done: pl.DoneSlot(),
+		slots: make([]slotInfo, 0, len(pl.Slots())+1), comb: make([]combNode, 0, len(ops))}
 	addSlot := func(name string, width int) int {
 		p.slots = append(p.slots, slotInfo{name: name, mask: widthMask(width), shift: widthShift(width)})
 		return len(p.slots) - 1
@@ -206,7 +245,6 @@ func Compile(pl *netlist.Plan) (*Program, error) {
 		return -1
 	}
 
-	ops := pl.Ops()
 	for i := range ops {
 		op := &ops[i]
 		param, pin := op.Params, op.Pin
@@ -245,7 +283,8 @@ func Compile(pl *netlist.Plan) (*Program, error) {
 
 		case operators.KindRAM:
 			mem, addr, dout := p.addMem(op, op.Ref), in(pin("addr")), int(pin("dout"))
-			p.rams = append(p.rams, ramNode{id: op.ID, mem: mem, addr: addr, din: in(pin("din")), we: in(pin("we")), dout: dout})
+			p.rams = append(p.rams, ramNode{id: op.ID, mem: mem, addr: addr, din: in(pin("din")), we: in(pin("we")), dout: dout,
+				rd: int32(len(p.comb))})
 			p.comb = append(p.comb, combNode{kind: combMemRead, a: addr, y: dout, mask: p.slots[dout].mask, mem: mem})
 
 		case operators.KindROM:
@@ -263,23 +302,43 @@ func Compile(pl *netlist.Plan) (*Program, error) {
 		}
 	}
 
-	// Bind the FSM: guards read the status slots, Moore outputs are
-	// precomputed per state over the declared output order.
+	// Bind the FSM: guards read the status slots; Reset drives the
+	// initial state's Moore outputs (declared order, unassigned ones 0 as
+	// fsmsim drives them), and each transition publishes only the
+	// outputs its target state drives to a different value.
 	tab := pl.FSM()
-	for o := range tab.Outputs {
-		p.ctlSlots = append(p.ctlSlots, pl.ControlSlot(o))
+	p.ctlSlots = make([]int, len(tab.Outputs))
+	for o := range p.ctlSlots {
+		p.ctlSlots[o] = pl.ControlSlot(o)
 	}
-	for i := range tab.Inputs {
-		p.inSlots = append(p.inSlots, pl.StatusSlot(i))
+	p.inSlots = make([]int, len(tab.Inputs))
+	for i := range p.inSlots {
+		p.inSlots[i] = pl.StatusSlot(i)
 	}
-	for _, st := range tab.States {
-		fs := fsmState{name: st.Name, final: st.Final, outs: make([]uint64, len(st.Out)), trans: st.Next}
-		for o, v := range st.Out {
-			fs.outs[o] = uint64(v) & p.slots[p.ctlSlots[o]].mask
-		}
-		p.states = append(p.states, fs)
-	}
+	out := func(st *fsmsim.State, o int) uint64 { return uint64(st.Out[o]) & p.slots[p.ctlSlots[o]].mask }
 	p.initial = tab.Initial
+	p.initOuts = make([]uint64, len(tab.Outputs))
+	for o := range p.initOuts {
+		p.initOuts[o] = out(&tab.States[tab.Initial], o)
+	}
+	p.states = make([]fsmState, len(tab.States))
+	nt := 0
+	for s := range tab.States {
+		nt += len(tab.States[s].Next)
+	}
+	p.diffAt = make([]int32, 1, nt+1)
+	for s := range tab.States {
+		st := &tab.States[s]
+		p.states[s] = fsmState{name: st.Name, final: st.Final, trans: st.Next, tr0: int32(len(p.diffAt) - 1)}
+		for _, tr := range st.Next {
+			for o := range p.ctlSlots {
+				if v := out(&tab.States[tr.To], o); v != out(st, o) {
+					p.ctlDiff = append(p.ctlDiff, ctlPut{slot: p.ctlSlots[o], val: v})
+				}
+			}
+			p.diffAt = append(p.diffAt, int32(len(p.ctlDiff)))
+		}
+	}
 	p.perCycle = uint64(len(p.regs) + 1 + len(p.rams) + len(p.stims) + len(p.sinks) + len(p.comb))
 
 	if err := p.levelize(); err != nil {
@@ -305,51 +364,57 @@ func (p *Program) addMem(op *netlist.Op, ref string) int {
 }
 
 // levelize topologically sorts the combinational nodes (Kahn's
-// algorithm, FIFO seeded in node order for determinism). Sequential
-// elements publish into slots no comb node produces, so they never
-// appear as edges; a leftover node means combinational feedback, which
-// the event kernel would also reject (ErrMaxDeltas) — here it is a
-// compile error.
+// algorithm, FIFO seeded in node order for determinism) and builds the
+// reader index the dirty sweep marks through. Sequential elements
+// publish into slots no comb node produces, so they never appear as
+// edges; a leftover node means combinational feedback, which the event
+// kernel would also reject (ErrMaxDeltas) — here it is a compile error.
 func (p *Program) levelize() error {
-	prodBy := map[int]int{} // slot -> producing comb node
+	// Reader index in CSR form: count each slot's readers, turn the
+	// counts into end offsets, then place the entries walking the nodes
+	// backwards, so each slot lists its readers in node order and every
+	// offset ends at its slot's start. A node reading a slot twice is
+	// listed twice and so counts two in-degrees.
+	readAt := make([]int32, len(p.slots)+1)
+	var buf []int
 	for i := range p.comb {
-		prodBy[p.comb[i].y] = i
-	}
-	nodeInputs := func(n *combNode) []int {
-		switch n.kind {
-		case combUnary, combMemRead:
-			return []int{n.a}
-		case combBinary:
-			return []int{n.a, n.b}
-		default: // combMux
-			return append(append([]int(nil), n.ins...), n.sel)
+		buf = p.comb[i].reads(buf[:0])
+		for _, s := range buf {
+			readAt[s]++
 		}
 	}
-	indeg := make([]int, len(p.comb))
-	succs := make([][]int, len(p.comb))
-	for i := range p.comb {
-		for _, s := range nodeInputs(&p.comb[i]) {
-			if j, ok := prodBy[s]; ok {
-				succs[j] = append(succs[j], i)
-				indeg[i]++
-			}
+	for s := 1; s < len(readAt); s++ {
+		readAt[s] += readAt[s-1]
+	}
+	readers := make([]int32, readAt[len(readAt)-1])
+	for i := len(p.comb) - 1; i >= 0; i-- {
+		buf = p.comb[i].reads(buf[:0])
+		for k := len(buf) - 1; k >= 0; k-- {
+			readAt[buf[k]]--
+			readers[readAt[buf[k]]] = int32(i)
 		}
 	}
-	queue := make([]int, 0, len(p.comb))
+	succs := func(i int32) []int32 {
+		y := p.comb[i].y
+		return readers[readAt[y]:readAt[y+1]]
+	}
+
+	indeg := make([]int32, len(p.comb))
 	for i := range p.comb {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
+		for _, r := range succs(int32(i)) {
+			indeg[r]++
 		}
 	}
-	order := make([]combNode, 0, len(p.comb))
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		order = append(order, p.comb[i])
-		for _, j := range succs[i] {
-			indeg[j]--
-			if indeg[j] == 0 {
-				queue = append(queue, j)
+	order := make([]int32, 0, len(p.comb)) // the FIFO queue, never popped
+	for i, d := range indeg {
+		if d == 0 {
+			order = append(order, int32(i))
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		for _, r := range succs(order[head]) {
+			if indeg[r]--; indeg[r] == 0 {
+				order = append(order, r)
 			}
 		}
 	}
@@ -361,8 +426,21 @@ func (p *Program) levelize() error {
 			}
 		}
 		sort.Strings(loop)
-		return fmt.Errorf("cycle: %s: combinational loop through %v", p.name, loop)
+		return fmt.Errorf("cycle: %s: %w through %v", p.name, ErrCombinationalLoop, loop)
 	}
-	p.comb = order
+
+	// Renumber to topological positions; every in-degree is zero now, so
+	// indeg holds each node's position.
+	pos, sorted := indeg, make([]combNode, len(p.comb))
+	for k, i := range order {
+		pos[i], sorted[k] = int32(k), p.comb[i]
+	}
+	for e, r := range readers {
+		readers[e] = pos[r]
+	}
+	for m := range p.rams {
+		p.rams[m].rd = pos[p.rams[m].rd]
+	}
+	p.comb, p.readAt, p.readers = sorted, readAt, readers
 	return nil
 }

@@ -1,6 +1,7 @@
 package cycle_test
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -53,7 +54,7 @@ func TestCompileRejectsCombinationalLoop(t *testing.T) {
 		Statuses: []xmlspec.Status{{Name: "s", From: "n0.y"}},
 	}
 	_, err := compile(t, dp, loopFSM("s"))
-	if err == nil || !strings.Contains(err.Error(), "combinational loop") {
+	if !errors.Is(err, cycle.ErrCombinationalLoop) {
 		t.Fatalf("want combinational-loop error, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "n0.y") || !strings.Contains(err.Error(), "n1.y") {

@@ -2,6 +2,7 @@ package cycle
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/hades"
 )
@@ -30,6 +31,7 @@ type Instance struct {
 	sinkRec [][]int64 // per (sink, lane)
 
 	state     []int
+	fired     []int32 // 1 + the transition phaseA took, 0 for none
 	cycles    []uint64
 	endTime   []hades.Time
 	completed []bool
@@ -56,6 +58,10 @@ type Instance struct {
 	stimLast    []int64
 	stimLastSet []bool
 
+	// dirty holds the comb nodes with a changed input on any lane, by
+	// position in p.comb; settle empties it.
+	dirty nodeSet
+
 	env *laneEnv // the FSM guards' Env, pointed at one lane at a time
 
 	traceOn bool
@@ -79,6 +85,7 @@ func (p *Program) NewInstance(lanes int) *Instance {
 	in.stimPos = make([]int, len(p.stims)*lanes)
 	in.sinkRec = make([][]int64, len(p.sinks)*lanes)
 	in.state = make([]int, lanes)
+	in.fired = make([]int32, lanes)
 	in.cycles = make([]uint64, lanes)
 	in.endTime = make([]hades.Time, lanes)
 	in.completed = make([]bool, lanes)
@@ -96,6 +103,7 @@ func (p *Program) NewInstance(lanes int) *Instance {
 	in.stimOutSet = make([]bool, len(p.stims)*lanes)
 	in.stimLast = make([]int64, len(p.stims)*lanes)
 	in.stimLastSet = make([]bool, len(p.stims)*lanes)
+	in.dirty = make(nodeSet, (len(p.comb)+63)/64)
 	in.env = &laneEnv{in: in}
 	in.traces = make([][][]Sample, lanes)
 	return in
@@ -112,17 +120,34 @@ func (in *Instance) TraceRows(lane int) [][]Sample { return in.traces[lane] }
 
 // set publishes a value into a slot, masked to the slot width; a change
 // of value or definedness counts one event, like the kernel's batch
-// apply.
+// apply. Only Reset calls it, and Reset settles every node.
 func (in *Instance) set(slot, lane int, v int64) {
 	put(in.vals, in.valid, in.events, slot*in.lanes+lane, lane, uint64(v)&in.p.slots[slot].mask)
 }
 
 // put stores the masked value m at plane index i, which belongs to lane
 // l, counting an event for the lane on a change of value or definedness.
-func put(vals []uint64, valid []bool, events []uint64, i, l int, m uint64) {
-	if !valid[i] || vals[i] != m {
-		vals[i], valid[i] = m, true
-		events[l]++
+// It reports the change, after which the caller marks the slot's
+// readers once for all its lanes.
+func put(vals []uint64, valid []bool, events []uint64, i, l int, m uint64) bool {
+	if valid[i] && vals[i] == m {
+		return false
+	}
+	vals[i], valid[i] = m, true
+	events[l]++
+	return true
+}
+
+// nodeSet is a bitset over a program's comb nodes in topological order.
+type nodeSet []uint64
+
+func (s nodeSet) add(i int32) { s[i>>6] |= 1 << (i & 63) }
+
+// mark adds the comb nodes reading a slot to the dirty set.
+func (in *Instance) mark(slot int) {
+	p := in.p
+	for _, r := range p.readers[p.readAt[slot]:p.readAt[slot+1]] {
+		in.dirty.add(r)
 	}
 }
 
@@ -145,8 +170,8 @@ func (e *laneEnv) Truth(i int) bool {
 // power-on values, the FSM in its initial state with that state's
 // outputs asserted, memories and stimuli reseeded from init (keyed by
 // operator id; missing ids zero-fill), sinks cleared — then one
-// combinational settle pass, the compiled counterpart of the event
-// kernel's time-zero delta cascade. init contents are copied.
+// combinational settle pass over every node, the compiled counterpart of
+// the event kernel's time-zero delta cascade. init contents are copied.
 func (in *Instance) Reset(lane int, init map[string][]int64) {
 	L := in.lanes
 	in.resets[lane]++
@@ -167,9 +192,8 @@ func (in *Instance) Reset(lane int, init map[string][]int64) {
 		in.regSet[r*L+lane] = false
 	}
 	in.state[lane] = in.p.initial
-	st := &in.p.states[in.p.initial]
 	for o, slot := range in.p.ctlSlots {
-		put(in.vals, in.valid, in.events, slot*L+lane, lane, st.outs[o])
+		put(in.vals, in.valid, in.events, slot*L+lane, lane, in.p.initOuts[o])
 	}
 	for m := range in.p.mems {
 		ms := &in.p.mems[m]
@@ -213,6 +237,15 @@ func (in *Instance) Reset(lane int, init map[string][]int64) {
 	in.armed[lane] = true
 	if in.traceOn {
 		in.traces[lane] = in.traces[lane][:0]
+	}
+	// Run returns only at the top of an edge, after its settle emptied
+	// the dirty set, so no other lane has a node pending here: marking
+	// every node and sweeping this lane alone leaves the set empty again.
+	for w := range in.dirty {
+		in.dirty[w] = ^uint64(0)
+	}
+	if r := len(in.p.comb) & 63; r != 0 {
+		in.dirty[len(in.dirty)-1] = 1<<r - 1
 	}
 	in.settle(lane, lane+1)
 }
@@ -341,9 +374,10 @@ func (in *Instance) phaseA() {
 			continue
 		}
 		env.lane = l
-		for _, tr := range p.states[in.state[l]].trans {
+		st := &p.states[in.state[l]]
+		for k, tr := range st.trans {
 			if tr.Cond.Eval(env) {
-				in.state[l] = tr.To
+				in.state[l], in.fired[l] = tr.To, st.tr0+int32(k)+1
 				break
 			}
 		}
@@ -362,6 +396,10 @@ func (in *Instance) phaseA() {
 			w := uint64(l)*depth + vals[addr+l]
 			if vals[we+l]&1 == 1 && valid[din+l] {
 				mem[w] = vals[din+l] & ms.mask
+				// The read-port refresh below publishes this word when the
+				// address holds, so the mark is redundant; it keeps "a write
+				// to what a node reads marks the node" without exception.
+				in.dirty.add(rn.rd)
 			}
 			// Read-port refresh from the pre-edge address over the
 			// post-write contents (the event RAM does both in one React).
@@ -410,29 +448,38 @@ func (in *Instance) phaseA() {
 }
 
 // publish applies the deferred phase-A results to the slots, element by
-// element over the lanes.
+// element over the lanes, and marks the readers of every changed slot.
+// The FSM publishes only on a transition, and only the outputs that
+// differ between its two states: every control slot holds its state's
+// output from Reset on.
 func (in *Instance) publish() {
 	p, L := in.p, in.lanes
 	vals, valid, events := in.vals, in.valid, in.events
 	apply := func(slot int, next []int64, set []bool) {
-		y, mask := slot*L, p.slots[slot].mask
+		y, mask, changed := slot*L, p.slots[slot].mask, false
 		for l, on := range set {
 			if on {
-				put(vals, valid, events, y+l, l, uint64(next[l])&mask)
+				changed = put(vals, valid, events, y+l, l, uint64(next[l])&mask) || changed
 				set[l] = false
 			}
+		}
+		if changed {
+			in.mark(slot)
 		}
 	}
 	for r := range p.regs {
 		apply(p.regs[r].q, in.regNext[r*L:(r+1)*L], in.regSet[r*L:(r+1)*L])
 	}
-	for o, slot := range p.ctlSlots {
-		y := slot * L
-		for l, on := range in.armed {
-			if on {
-				put(vals, valid, events, y+l, l, p.states[in.state[l]].outs[o])
+	for l, t := range in.fired {
+		if t == 0 {
+			continue
+		}
+		for _, c := range p.ctlDiff[p.diffAt[t-1]:p.diffAt[t]] {
+			if put(vals, valid, events, c.slot*L+l, l, c.val) {
+				in.mark(c.slot)
 			}
 		}
+		in.fired[l] = 0
 	}
 	for m := range p.rams {
 		apply(p.rams[m].dout, in.ramNext[m*L:(m+1)*L], in.ramSet[m*L:(m+1)*L])
@@ -443,59 +490,77 @@ func (in *Instance) publish() {
 	}
 }
 
-// settle runs the levelized combinational pass over the armed lanes of
-// [lo, hi), node-major: each node resolves its kind, operand offsets and
-// widths once, then loops over the lanes. One pass in topological order
-// reaches the delta-cascade fixpoint. A node whose inputs are not all
-// defined — or whose select or address is out of range — holds its
-// previous output, the event operators' semantics. Reactions are counted
-// in bulk by the callers.
+// settle sweeps the dirty set in ascending order over the armed lanes
+// of [lo, hi). A node's readers sit after it in topological order, so
+// the marks its changed output adds are met later in the same sweep,
+// which reaches the delta-cascade fixpoint and leaves the set empty. In
+// a gang the set is the union over the lanes; evaluating a node whose
+// inputs did not change on a lane is harmless, as every node is a pure
+// function of its inputs and its memory word. Reactions are counted in
+// bulk by the callers.
 func (in *Instance) settle(lo, hi int) {
-	p, L, armed := in.p, in.lanes, in.armed
-	vals, valid, events := in.vals, in.valid, in.events
-	for i := range p.comb {
-		n := &p.comb[i]
-		y := n.y * L
-		switch n.kind {
-		case combUnary:
-			a := n.a * L
-			for l := lo; l < hi; l++ {
-				if armed[l] && valid[a+l] {
-					put(vals, valid, events, y+l, l, uint64(n.un(sext(vals[a+l], n.ash), n.width))&n.mask)
-				}
-			}
-		case combBinary:
-			a, b := n.a*L, n.b*L
-			for l := lo; l < hi; l++ {
-				if armed[l] && valid[a+l] && valid[b+l] {
-					r := n.bin(sext(vals[a+l], n.ash), sext(vals[b+l], n.bsh), n.width)
-					put(vals, valid, events, y+l, l, uint64(r)&n.mask)
-				}
-			}
-		case combMux:
-			sel := n.sel * L
-			for l := lo; l < hi; l++ {
-				if !armed[l] || !valid[sel+l] || vals[sel+l] >= uint64(len(n.ins)) {
-					continue
-				}
-				src := n.ins[vals[sel+l]]
-				if j := src*L + l; valid[j] {
-					put(vals, valid, events, y+l, l, uint64(sext(vals[j], p.slots[src].shift))&n.mask)
-				}
-			}
-		case combMemRead:
-			ms := &p.mems[n.mem]
-			mem, depth := in.mems[n.mem], uint64(ms.depth)
-			a := n.a * L
-			for l := lo; l < hi; l++ {
-				// Unsigned compare: a negative address word is out of range.
-				if armed[l] && valid[a+l] && vals[a+l] < depth {
-					v := mem[uint64(l)*depth+vals[a+l]]
-					put(vals, valid, events, y+l, l, uint64(sext(v, ms.shift))&n.mask)
-				}
+	dirty := in.dirty
+	for w := range dirty {
+		for dirty[w] != 0 {
+			b := bits.TrailingZeros64(dirty[w])
+			dirty[w] &^= 1 << b
+			if n := &in.p.comb[w<<6|b]; in.eval(n, lo, hi) {
+				in.mark(n.y)
 			}
 		}
 	}
+}
+
+// eval evaluates one comb node over the armed lanes of [lo, hi),
+// node-major: it resolves its kind, operand offsets and widths once,
+// then loops over the lanes, and reports whether its output changed on
+// any of them. A node whose inputs are not all defined — or whose
+// select or address is out of range — holds its previous output, the
+// event operators' semantics.
+func (in *Instance) eval(n *combNode, lo, hi int) (changed bool) {
+	p, L, armed := in.p, in.lanes, in.armed
+	vals, valid, events := in.vals, in.valid, in.events
+	y := n.y * L
+	switch n.kind {
+	case combUnary:
+		a := n.a * L
+		for l := lo; l < hi; l++ {
+			if armed[l] && valid[a+l] {
+				changed = put(vals, valid, events, y+l, l, uint64(n.un(sext(vals[a+l], n.ash), n.width))&n.mask) || changed
+			}
+		}
+	case combBinary:
+		a, b := n.a*L, n.b*L
+		for l := lo; l < hi; l++ {
+			if armed[l] && valid[a+l] && valid[b+l] {
+				r := n.bin(sext(vals[a+l], n.ash), sext(vals[b+l], n.bsh), n.width)
+				changed = put(vals, valid, events, y+l, l, uint64(r)&n.mask) || changed
+			}
+		}
+	case combMux:
+		sel := n.sel * L
+		for l := lo; l < hi; l++ {
+			if !armed[l] || !valid[sel+l] || vals[sel+l] >= uint64(len(n.ins)) {
+				continue
+			}
+			src := n.ins[vals[sel+l]]
+			if j := src*L + l; valid[j] {
+				changed = put(vals, valid, events, y+l, l, uint64(sext(vals[j], p.slots[src].shift))&n.mask) || changed
+			}
+		}
+	case combMemRead:
+		ms := &p.mems[n.mem]
+		mem, depth := in.mems[n.mem], uint64(ms.depth)
+		a := n.a * L
+		for l := lo; l < hi; l++ {
+			// Unsigned compare: a negative address word is out of range.
+			if armed[l] && valid[a+l] && vals[a+l] < depth {
+				v := mem[uint64(l)*depth+vals[a+l]]
+				changed = put(vals, valid, events, y+l, l, uint64(sext(v, ms.shift))&n.mask) || changed
+			}
+		}
+	}
+	return changed
 }
 
 // LaneRun reports one lane's execution of one configuration — the
